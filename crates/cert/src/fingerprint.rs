@@ -14,8 +14,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice.
 pub fn fnv1a(data: &[u8]) -> u64 {
+    fnv1a_chunks([data])
+}
+
+/// FNV-1a over the concatenation of `chunks`, without building it.
+pub fn fnv1a_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut h = FNV_OFFSET;
-    for &b in data {
+    for &b in chunks.into_iter().flatten() {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
     }

@@ -1,18 +1,20 @@
 //! Authoritative name server logic over a set of zones.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::message::{Message, Rcode};
 use crate::name::Name;
-use crate::rr::RecordType;
+use crate::rr::{Record, RecordType};
 use crate::zone::{Zone, ZoneLookup};
 
 /// An authoritative server holding one or more zones, answering queries
 /// with correct AA/rcode/authority-section semantics.
 #[derive(Debug, Default)]
 pub struct Authority {
-    /// Zones keyed by origin.
-    zones: BTreeMap<Name, Zone>,
+    /// Zones keyed by origin. Hashed rather than ordered: `find_zone`
+    /// probes ancestors of every queried name, and an ordered map pays a
+    /// key comparison (a cache miss) per tree level per probe.
+    zones: HashMap<Name, Zone>,
 }
 
 impl Authority {
@@ -41,23 +43,18 @@ impl Authority {
         self.zones.len()
     }
 
-    /// Iterate zones.
+    /// Iterate zones in canonical order of their origins.
     pub fn zones(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.values()
+        let mut sorted: Vec<&Zone> = self.zones.values().collect();
+        sorted.sort_by(|a, b| a.origin().cmp(b.origin()));
+        sorted.into_iter()
     }
 
     /// The closest enclosing zone for `name`, if any.
     pub fn find_zone(&self, name: &Name) -> Option<&Zone> {
         // Walk from the name towards the root, first hit wins (most
         // specific zone).
-        let mut n = Some(name.clone());
-        while let Some(current) = n {
-            if let Some(z) = self.zones.get(&current) {
-                return Some(z);
-            }
-            n = current.parent();
-        }
-        None
+        name.ancestors().find_map(|a| self.zones.get(a.key()))
     }
 
     /// Answer a query message. Follows CNAME chains *within* the same zone,
@@ -65,7 +62,7 @@ impl Authority {
     pub fn answer(&self, query: &Message) -> Message {
         let mut resp = query.response();
         let q = match query.question() {
-            Some(q) => q.clone(),
+            Some(q) => q,
             None => {
                 resp.header.rcode = Rcode::FormErr;
                 return resp;
@@ -79,10 +76,13 @@ impl Authority {
             }
         };
         resp.header.aa = true;
-        let mut name = q.name.clone();
+        // The name being looked up: the question, then each in-zone
+        // CNAME target.
+        let mut chased: Option<Name> = None;
         // Bounded CNAME chase inside the zone.
         for _ in 0..16 {
-            match zone.lookup(&name, q.qtype) {
+            let name = chased.as_ref().unwrap_or(&q.name);
+            match zone.lookup(name, q.qtype) {
                 ZoneLookup::Answer(rs) => {
                     resp.answers.extend(rs);
                     self.add_glue(zone, &mut resp);
@@ -95,7 +95,7 @@ impl Authority {
                     };
                     resp.answers.push(c);
                     if target.is_subdomain_of(zone.origin()) {
-                        name = target;
+                        chased = Some(target);
                         continue;
                     }
                     // Out-of-zone target: the resolver restarts elsewhere.
@@ -135,32 +135,29 @@ impl Authority {
     /// the measurement pipeline uses these to avoid re-querying.
     fn add_glue(&self, zone: &Zone, resp: &mut Message) {
         use crate::rr::RData;
-        let mut targets: Vec<Name> = Vec::new();
+        let mut glue: Vec<Record> = Vec::new();
         for r in resp.answers.iter().chain(&resp.authorities) {
-            match &r.rdata {
-                RData::Mx { exchange, .. } if !exchange.is_root() => {
-                    targets.push(exchange.clone())
-                }
-                RData::Ns(t) => targets.push(t.clone()),
-                _ => {}
-            }
-        }
-        for t in targets {
+            let t = match &r.rdata {
+                RData::Mx { exchange, .. } if !exchange.is_root() => exchange,
+                RData::Ns(t) => t,
+                _ => continue,
+            };
             let z = if t.is_subdomain_of(zone.origin()) {
                 Some(zone)
             } else {
-                self.find_zone(&t)
+                self.find_zone(t)
             };
             if let Some(z) = z {
                 // Raw access: glue sits below the delegation cut, where a
                 // normal lookup would return a referral instead.
-                for r in z.records_at(&t, RecordType::A) {
-                    if !resp.additionals.contains(&r) {
-                        resp.additionals.push(r);
+                for g in z.records_at(t, RecordType::A) {
+                    if !resp.additionals.contains(g) && !glue.contains(g) {
+                        glue.push(g.clone());
                     }
                 }
             }
         }
+        resp.additionals.extend(glue);
     }
 }
 
@@ -267,6 +264,19 @@ mod tests {
         let q = Message::query(6, dns_name!("unknown.test"), RecordType::A);
         let r = a.answer(&q);
         assert_eq!(r.header.rcode, Rcode::Refused);
+    }
+
+    #[test]
+    fn zones_iterate_in_canonical_order() {
+        let mut a = authority();
+        a.add_zone(Zone::new(dns_name!("sub.example.com")));
+        a.add_zone(Zone::new(Name::root()));
+        let origins: Vec<String> = a.zones().map(|z| z.origin().to_string()).collect();
+        assert_eq!(
+            origins,
+            [".", "example.com", "sub.example.com", "provider.net"]
+        );
+        assert_eq!(a.zone_count(), 4);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! DNS wire-format primitives: a cursor-based reader and writer with RFC
 //! 1035 §4.1.4 name compression on both paths.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use crate::name::{Name, NameError, MAX_LABEL_LEN};
+use crate::name::{Name, NameBuilder, NameError, MAX_LABEL_LEN};
 
 /// Hard cap on a DNS message we will produce or accept. Generous enough for
 /// any simulated response while still bounding memory.
@@ -66,14 +65,32 @@ impl From<NameError> for WireError {
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Suffix (as dotted string) -> offset of its first occurrence.
-    compress: HashMap<String, u16>,
+    /// Right-to-left buffers (see [`Name`]) of the names whose suffixes
+    /// were registered for compression, back to back.
+    seen: Vec<u8>,
+    /// Registered suffixes, each a prefix `seen[start..end]` of a name's
+    /// right-to-left buffer, first encoded at message offset `at`.
+    suffixes: Vec<CompressTarget>,
+}
+
+/// One name suffix a later name may point to.
+#[derive(Debug, Clone, Copy)]
+struct CompressTarget {
+    start: usize,
+    end: usize,
+    at: u16,
 }
 
 impl WireWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        Self::default()
+        // Sized for a classic 512-byte UDP message and the handful of
+        // names a simulated response carries, so encoding rarely grows.
+        WireWriter {
+            buf: Vec::with_capacity(512),
+            seen: Vec::with_capacity(128),
+            suffixes: Vec::with_capacity(16),
+        }
     }
 
     /// Current length of the encoded buffer.
@@ -141,36 +158,68 @@ impl WireWriter {
         self.put_bytes(b)
     }
 
-    /// One length-prefixed label. `Name` guarantees labels fit in 63
-    /// bytes, but the invariant is re-checked rather than assumed.
-    fn put_label(&mut self, label: &str) -> Result<(), WireError> {
+    /// One length-prefixed label. Decoded names may carry a label that
+    /// lossy UTF-8 conversion stretched past 63 bytes, so the limit is
+    /// checked here rather than assumed.
+    fn put_label(&mut self, label: &[u8]) -> Result<(), WireError> {
         let len = u8::try_from(label.len())
             .ok()
             .filter(|&l| usize::from(l) <= MAX_LABEL_LEN)
-            .ok_or_else(|| WireError::BadName(NameError::LabelTooLong(label.to_string())))?;
+            .ok_or_else(|| {
+                WireError::BadName(NameError::LabelTooLong(
+                    String::from_utf8_lossy(label).into_owned(),
+                ))
+            })?;
         self.put_u8(len)?;
-        self.put_bytes(label.as_bytes())
+        self.put_bytes(label)
+    }
+
+    /// The message offset of an already-encoded name suffix equal to
+    /// `suffix` (a right-to-left buffer).
+    fn find_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|t| self.seen.get(t.start..t.end) == Some(suffix))
+            .map(|t| t.at)
     }
 
     /// Encode a name, emitting a compression pointer to the longest
     /// already-encoded suffix when possible and registering new suffixes.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let mut rest: &[String] = name.labels();
-        while let Some((label, tail)) = rest.split_first() {
-            let suffix = rest.join(".");
-            if let Some(&off) = self.compress.get(&suffix) {
+        let rev = name.rev_wire();
+        let base = self.seen.len();
+        let mut registered = false;
+        // Suffixes of the name are prefixes of its right-to-left buffer:
+        // walk them from the whole name towards the root, emitting the
+        // label that separates each from the next.
+        let mut ancestors = name.ancestors().map(|a| a.0);
+        let mut suffix = ancestors.next().unwrap_or_default();
+        for parent in ancestors {
+            if let Some(off) = self.find_suffix(suffix) {
                 // Pointers must fit in 14 bits; only offsets < 0x4000 are
-                // ever inserted below.
-                self.put_u16(0xC000 | off)?;
-                return Ok(());
+                // ever registered below.
+                return self.put_u16(0xC000 | off);
             }
-            if let Ok(here) = u16::try_from(self.buf.len()) {
-                if here < 0x4000 {
-                    self.compress.insert(suffix, here);
+            if let Some(here) = u16::try_from(self.buf.len()).ok().filter(|&h| h < 0x4000) {
+                if !registered {
+                    self.seen.extend_from_slice(rev);
+                    registered = true;
                 }
+                let end = base
+                    .checked_add(suffix.len())
+                    .ok_or(WireError::MessageTooLong)?;
+                self.suffixes.push(CompressTarget {
+                    start: base,
+                    end,
+                    at: here,
+                });
             }
+            let label = suffix
+                .get(parent.len()..)
+                .and_then(|l| l.get(1..))
+                .ok_or(WireError::Truncated)?;
             self.put_label(label)?;
-            rest = tail;
+            suffix = parent;
         }
         self.put_u8(0) // root label
     }
@@ -180,7 +229,7 @@ impl WireWriter {
     /// RFC 1035 permits for well-known types, but TXT-like blobs must not).
     pub fn put_name_uncompressed(&mut self, name: &Name) -> Result<(), WireError> {
         for label in name.labels() {
-            self.put_label(label)?;
+            self.put_label(label.as_bytes())?;
         }
         self.put_u8(0)
     }
@@ -288,8 +337,13 @@ impl<'a> WireReader<'a> {
 
     /// Decode a possibly-compressed name starting at the cursor. Pointers
     /// must point strictly backwards, which also bounds the loop.
+    ///
+    /// Label bytes are read as lossy UTF-8 and ASCII-lower-cased. A name
+    /// over the 255-byte limit is reported only once the walk ends, so
+    /// truncation and pointer errors keep precedence.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<String> = Vec::new();
+        let mut name = NameBuilder::new();
+        let mut labels = 0usize;
         let mut pos = self.pos;
         let mut jumped = false;
         let mut end_pos = self.pos; // cursor after the in-line part
@@ -306,16 +360,16 @@ impl<'a> WireReader<'a> {
                         break;
                     }
                     let end = pos
-                        .checked_add(len as usize)
+                        .checked_add(usize::from(len))
                         .ok_or(WireError::Truncated)?;
                     let b = self.data.get(pos..end).ok_or(WireError::Truncated)?;
                     pos = end;
                     if !jumped {
                         end_pos = pos;
                     }
-                    let label = String::from_utf8_lossy(b).to_ascii_lowercase();
-                    labels.push(label);
-                    if labels.len() > 128 {
+                    name.append_label(String::from_utf8_lossy(b).as_bytes());
+                    labels += 1;
+                    if labels > 128 {
                         return Err(WireError::BadName(NameError::NameTooLong));
                     }
                 }
@@ -324,7 +378,7 @@ impl<'a> WireReader<'a> {
                     if !jumped {
                         end_pos = pos + 2;
                     }
-                    let target = (((len & 0x3F) as usize) << 8) | b2 as usize;
+                    let target = (usize::from(len & 0x3F) << 8) | usize::from(b2);
                     if target >= min_ptr || target >= pos {
                         return Err(WireError::BadPointer);
                     }
@@ -336,7 +390,7 @@ impl<'a> WireReader<'a> {
             }
         }
         self.pos = end_pos;
-        Name::from_labels(labels).map_err(WireError::from)
+        name.to_name().map_err(WireError::from)
     }
 }
 

@@ -7,9 +7,9 @@
 //! (referral) when a query falls below a delegated child.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
-
-use crate::name::Name;
+use crate::name::{is_ancestor_rev, Name, NameKey, NameRef, MAX_NAME_LEN};
 use crate::rr::{RData, Record, RecordType, Soa};
 
 /// Outcome of looking a (name, type) up in a single zone.
@@ -140,63 +140,44 @@ impl Zone {
     /// Raw records of one type at one owner, ignoring delegation cuts —
     /// used for glue fetching (glue A records live *below* the cut that
     /// would otherwise turn the lookup into a referral).
-    pub fn records_at(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
+    pub fn records_at(&self, name: &Name, rtype: RecordType) -> impl Iterator<Item = &Record> {
         self.records
             .get(name)
-            .map(|rs| {
-                rs.iter()
-                    .filter(|r| r.rtype() == rtype)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .filter(move |r| r.rtype() == rtype)
     }
 
     /// Does any name exist at or below `name`? (Controls NXDOMAIN vs the
     /// empty-non-terminal case.)
-    fn exists(&self, name: &Name) -> bool {
-        if self.records.contains_key(name) {
-            return true;
-        }
-        // Empty non-terminal: some stored name is a strict subdomain.
+    fn exists(&self, name: NameRef<'_>) -> bool {
+        // Canonical order puts a name's descendants right after it, so
+        // the first stored name at or after `name` decides.
         self.records
-            .range(name.clone()..)
-            .take_while(|(n, _)| n.is_subdomain_of(name))
+            .range::<dyn NameKey, _>((Bound::Included(name.key()), Bound::Unbounded))
             .next()
-            .is_some()
+            .is_some_and(|(n, _)| is_ancestor_rev(name.0, n.rev_wire()))
     }
 
     /// Find the closest delegation point strictly between origin and name.
     fn delegation_for(&self, name: &Name) -> Option<Vec<Record>> {
-        // Walk ancestors of `name` from just below origin down to name.
-        let mut cut: Option<Vec<Record>> = None;
-        let mut current = name.clone();
-        let mut chain = Vec::new();
-        while current != self.origin {
-            chain.push(current.clone());
-            current = current.parent()?;
-        }
-        // chain is name..=child-of-origin; check top-down.
-        for n in chain.iter().rev() {
-            if let Some(rs) = self.records.get(n) {
-                let ns: Vec<Record> = rs
+        // Ancestors of `name` strictly below the origin, checked top-down
+        // from just below the origin to `name` itself (NS at the queried
+        // name is a referral too; the origin is excluded by the caller).
+        let origin_len = self.origin.rev_wire().len();
+        name.ancestors()
+            .rev()
+            .filter(|s| s.0.len() > origin_len)
+            .find_map(|s| {
+                let ns: Vec<Record> = self
+                    .records
+                    .get(s.key())?
                     .iter()
                     .filter(|r| r.rtype() == RecordType::Ns)
                     .cloned()
                     .collect();
-                if !ns.is_empty() && n != name {
-                    cut = Some(ns);
-                    break;
-                }
-                if !ns.is_empty() && n == name {
-                    // NS at the queried name itself: also a referral unless
-                    // it's the origin (handled by loop bound).
-                    cut = Some(ns);
-                    break;
-                }
-            }
-        }
-        cut
+                (!ns.is_empty()).then_some(ns)
+            })
     }
 
     /// Look up (name, rtype) per RFC 1034 §4.3.2.
@@ -230,19 +211,13 @@ impl Zone {
             }
             return ZoneLookup::NoData;
         }
-        if self.exists(name) {
+        if self.exists(NameRef(name.rev_wire())) {
             // Empty non-terminal.
             return ZoneLookup::NoData;
         }
         // Wildcard synthesis: the closest encloser's `*` child, per RFC
         // 1034/4592, applies only if the query name does not exist.
-        if let Some(wild) = self.closest_wildcard(name) {
-            let rs = match self.records.get(&wild) {
-                Some(rs) => rs,
-                // closest_wildcard only returns stored names, but keep
-                // the lookup total rather than panicking on a bug.
-                None => return ZoneLookup::NoData,
-            };
+        if let Some(rs) = self.closest_wildcard(name) {
             let cname = rs.iter().find(|r| r.rtype() == RecordType::Cname);
             if let Some(c) = cname {
                 if rtype != RecordType::Cname && rtype != RecordType::Any {
@@ -268,35 +243,51 @@ impl Zone {
         ZoneLookup::NxDomain
     }
 
-    /// Find the wildcard owner that would synthesise answers for `name`:
-    /// `*.<closest-encloser>` where the closest encloser is the longest
-    /// existing ancestor of `name`.
-    fn closest_wildcard(&self, name: &Name) -> Option<Name> {
-        let mut ancestor = name.parent()?;
-        loop {
-            let wild = ancestor.child("*").ok()?;
-            if self.records.contains_key(&wild) && self.exists(&ancestor) {
-                return Some(wild);
-            }
-            if self.records.contains_key(&wild) && ancestor == self.origin {
-                return Some(wild);
+    /// The records of the wildcard owner that would synthesise answers
+    /// for `name`: `*.<closest-encloser>` where the closest encloser is
+    /// the longest existing ancestor of `name`.
+    fn closest_wildcard(&self, name: &Name) -> Option<&Vec<Record>> {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        for ancestor in name.ancestors().skip(1) {
+            let is_origin = ancestor.0 == self.origin.rev_wire();
+            let exists = self.exists(ancestor);
+            let wild = wildcard_child(ancestor, &mut buf)?;
+            if let Some(rs) = self.records.get(wild.key()) {
+                if exists || is_origin {
+                    return Some(rs);
+                }
             }
             // Wildcard applies from the closest encloser only: if the
             // ancestor exists without a wildcard child, stop.
-            if self.exists(&ancestor) {
+            if exists || is_origin {
                 return None;
             }
-            if ancestor == self.origin {
-                return None;
-            }
-            ancestor = ancestor.parent()?;
         }
+        None
     }
 
     /// The set of distinct owner names (diagnostics / tests).
     pub fn owner_names(&self) -> BTreeSet<&Name> {
         self.records.keys().collect()
     }
+}
+
+/// `*.<ancestor>` assembled in `buf`; `None` when it would exceed the
+/// name length limit.
+fn wildcard_child<'b>(
+    ancestor: NameRef<'_>,
+    buf: &'b mut [u8; MAX_NAME_LEN],
+) -> Option<NameRef<'b>> {
+    let len = ancestor
+        .0
+        .len()
+        .checked_add(2)
+        .filter(|&l| l < MAX_NAME_LEN)?;
+    let out = buf.get_mut(..len)?;
+    let (anc, star) = out.split_at_mut(ancestor.0.len());
+    anc.copy_from_slice(ancestor.0);
+    star.copy_from_slice(&[1, b'*']);
+    Some(NameRef(out))
 }
 
 #[cfg(test)]

@@ -284,3 +284,182 @@ fn master_file_roundtrip() {
         assert_eq!(norm(&reparsed), norm(&zone), "case {case}");
     }
 }
+
+/// A small label pool so generated names often share suffixes, and
+/// sometimes share bytes without sharing a label boundary (`ab` / `b`).
+const POOL: &[&str] = &["a", "b", "ab", "ba", "a-b", "_x", "com", "example", "*"];
+
+/// A name through `Name::parse`, in random case, with its reference
+/// labels.
+fn gen_parsed(rng: &mut SmallRng) -> (Name, Vec<String>) {
+    let n = rng.gen_range(0..5usize);
+    let labels: Vec<String> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.7) {
+                rng.choose(POOL).unwrap().to_string()
+            } else {
+                gen_label(rng)
+            }
+        })
+        .collect();
+    let dotted: String = labels
+        .join(".")
+        .chars()
+        .map(|c| {
+            if rng.gen_bool(0.5) {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            }
+        })
+        .collect();
+    let name = Name::parse(&dotted).expect("generated labels are valid");
+    (name, labels)
+}
+
+/// A name through the wire decoder, whose labels may hold `.`, upper
+/// case and invalid UTF-8, with its reference labels (lossy text,
+/// ASCII-lower-cased). `None` when the name is over the length limit.
+fn gen_decoded(rng: &mut SmallRng) -> Option<(Name, Vec<String>)> {
+    let n = rng.gen_range(0..5usize);
+    let mut wire = Vec::new();
+    let mut labels = Vec::new();
+    for _ in 0..n {
+        let raw: Vec<u8> = match rng.gen_range(0..4u32) {
+            0 => rng.choose(POOL).unwrap().as_bytes().to_vec(),
+            1 => b"X.y".to_vec(),
+            2 => (0..rng.gen_range(1..40usize))
+                .map(|_| rng.gen_range(0x80u8..=0xFF))
+                .collect(),
+            _ => (0..rng.gen_range(1..8usize))
+                .map(|_| rng.gen_range(0x21u8..=0x7E))
+                .collect(),
+        };
+        wire.push(raw.len() as u8);
+        wire.extend_from_slice(&raw);
+        labels.push(String::from_utf8_lossy(&raw).to_ascii_lowercase());
+    }
+    wire.push(0);
+    let decoded = WireReader::new(&wire).get_name();
+    let wire_len = 1 + labels.iter().map(|l| l.len() + 1).sum::<usize>();
+    if wire_len > 255 {
+        assert!(decoded.is_err(), "over-long decoded name accepted");
+        return None;
+    }
+    Some((decoded.expect("in-limit name decodes"), labels))
+}
+
+fn gen_any(rng: &mut SmallRng) -> (Name, Vec<String>) {
+    loop {
+        if rng.gen_bool(0.5) {
+            return gen_parsed(rng);
+        }
+        if let Some(d) = gen_decoded(rng) {
+            return d;
+        }
+    }
+}
+
+fn hash_of(n: &Name) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    n.hash(&mut h);
+    h.finish()
+}
+
+/// The reference labels of a constructed name, `None` when it failed.
+fn labels_of(n: Result<Name, mx_dns::NameError>) -> Option<Vec<String>> {
+    n.ok().map(|n| n.labels().map(str::to_string).collect())
+}
+
+/// The reference labels if they fit in 255 wire bytes.
+fn if_fits(labels: Vec<String>) -> Option<Vec<String>> {
+    (1 + labels.iter().map(|l| l.len() + 1).sum::<usize>() <= 255).then_some(labels)
+}
+
+/// `Name` against a `Vec<String>` reference model: order, equality,
+/// hashing, hierarchy and construction all agree, for parsed names in
+/// any case and for wire-decoded names with odd label bytes.
+#[test]
+fn name_matches_label_vector_oracle() {
+    for case in 0..4 * CASES {
+        let mut rng = SmallRng::seed_from_u64(0x0A_C1E0 ^ case);
+        let (a, ra) = gen_any(&mut rng);
+        let (b, rb) = gen_any(&mut rng);
+        let ctx = format!("case {case}: {ra:?} vs {rb:?}");
+
+        assert_eq!(a.labels().collect::<Vec<_>>(), ra, "{ctx}: labels");
+        assert_eq!(a.label_count(), ra.len(), "{ctx}: label count");
+        let dotted = if ra.is_empty() {
+            ".".to_string()
+        } else {
+            ra.join(".")
+        };
+        assert_eq!(a.to_string(), dotted, "{ctx}: display");
+        let chunks: Vec<u8> = a.dotted_chunks().flatten().copied().collect();
+        assert_eq!(chunks, dotted.as_bytes(), "{ctx}: dotted chunks");
+
+        // Canonical order: labels right to left, shorter suffix first.
+        let want = ra.iter().rev().cmp(rb.iter().rev());
+        assert_eq!(a.cmp(&b), want, "{ctx}: order");
+        assert_eq!(a == b, want.is_eq(), "{ctx}: eq agrees with cmp");
+        if a == b {
+            assert_eq!(hash_of(&a), hash_of(&b), "{ctx}: hash");
+        }
+
+        // Hierarchy respects label boundaries, not byte suffixes.
+        let sub = rb.len() <= ra.len() && ra[ra.len() - rb.len()..] == rb[..];
+        assert_eq!(a.is_subdomain_of(&b), sub, "{ctx}: is_subdomain_of");
+        assert_eq!(
+            a.is_strict_subdomain_of(&b),
+            sub && ra.len() > rb.len(),
+            "{ctx}: is_strict_subdomain_of"
+        );
+
+        // parent / child / join match the reference.
+        match a.parent() {
+            None => assert!(ra.is_empty(), "{ctx}: parent"),
+            Some(p) => assert_eq!(p.labels().collect::<Vec<_>>(), ra[1..], "{ctx}: parent"),
+        }
+        let mut rc = vec!["mx1".to_string()];
+        rc.extend(ra.iter().cloned());
+        assert_eq!(labels_of(a.child("MX1")), if_fits(rc), "{ctx}: child");
+        let mut rj = ra.clone();
+        rj.extend(rb.iter().cloned());
+        assert_eq!(labels_of(a.join(&b)), if_fits(rj), "{ctx}: join");
+        assert_eq!(
+            a.first_label(),
+            ra.first().map(String::as_str),
+            "{ctx}: first label"
+        );
+        assert_eq!(
+            a.is_wildcard(),
+            ra.first().is_some_and(|l| l == "*"),
+            "{ctx}: is_wildcard"
+        );
+
+        // The dotted form parses back whenever every label is parseable.
+        let parseable = ra.iter().all(|l| {
+            l.bytes()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_' | b'*'))
+        });
+        if parseable {
+            assert_eq!(Name::parse(&a.to_string()).as_ref(), Ok(&a), "{ctx}: parse");
+        }
+
+        // Encoding round-trips; a label stretched past 63 bytes by lossy
+        // decoding still fails to encode.
+        let mut w = WireWriter::new();
+        match w.put_name(&a) {
+            Ok(()) => {
+                assert!(
+                    ra.iter().all(|l| l.len() <= 63),
+                    "{ctx}: long label encoded"
+                );
+                let bytes = w.into_bytes();
+                assert_eq!(WireReader::new(&bytes).get_name().as_ref(), Ok(&a), "{ctx}");
+            }
+            Err(_) => assert!(ra.iter().any(|l| l.len() > 63), "{ctx}: encode failed"),
+        }
+    }
+}

@@ -21,7 +21,8 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use mx_cert::fnv1a;
+use mx_cert::{fnv1a, fnv1a_chunks};
+use mx_dns::Name;
 
 /// A fault injected on the DNS authority path as seen by the stub
 /// resolver's transport.
@@ -185,15 +186,17 @@ impl FaultPlan {
         (fnv1a(&key) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Deterministic uniform draw in [0,1) for a string-keyed event
-    /// (DNS names on the authority path).
-    fn coin_str(&self, name: &str, epoch: u64, salt: u64) -> f64 {
-        let mut key = Vec::with_capacity(name.len() + 24);
-        key.extend_from_slice(name.as_bytes());
-        key.extend_from_slice(&epoch.to_be_bytes());
-        key.extend_from_slice(&self.seed.to_be_bytes());
-        key.extend_from_slice(&salt.to_be_bytes());
-        (fnv1a(&key) >> 11) as f64 / (1u64 << 53) as f64
+    /// Deterministic uniform draw in [0,1) for a name-keyed event (DNS
+    /// names on the authority path): FNV-1a streamed over the name's
+    /// dotted bytes, then epoch, seed and salt.
+    fn coin_name(&self, name: &Name, epoch: u64, salt: u64) -> f64 {
+        let tail = [
+            epoch.to_be_bytes(),
+            self.seed.to_be_bytes(),
+            salt.to_be_bytes(),
+        ];
+        let h = fnv1a_chunks(name.dotted_chunks().chain(tail.iter().map(|b| &b[..])));
+        (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Is this IP excluded from scanning entirely?
@@ -241,12 +244,12 @@ impl FaultPlan {
     /// Which DNS fault, if any, hits the query for `qname` in round
     /// `epoch` on transport attempt `attempt`? One coin partitioned
     /// across the variants: at most one fault per attempt.
-    pub fn dns_fault(&self, qname: &str, epoch: u64, attempt: u32) -> Option<DnsFault> {
+    pub fn dns_fault(&self, qname: &Name, epoch: u64, attempt: u32) -> Option<DnsFault> {
         if self.dns.total() <= 0.0 {
             return None;
         }
         mx_obs::counter!(mx_obs::names::FAULT_DNS_COINS).incr();
-        let draw = self.coin_str(qname, epoch, attempt_salt(0xD0D0_D115, attempt));
+        let draw = self.coin_name(qname, epoch, attempt_salt(0xD0D0_D115, attempt));
         if draw < self.dns.total() {
             mx_obs::counter!(mx_obs::names::FAULT_DNS_FIRED).incr();
         }
@@ -433,6 +436,14 @@ impl ConnFaultPlan {
     }
 }
 
+/// Serialises this crate's tests that draw DNS coins at non-zero rates,
+/// so one that turns obs on can count `FAULT_DNS_COINS` undisturbed.
+#[cfg(test)]
+pub(crate) fn dns_coin_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,6 +577,7 @@ mod tests {
 
     #[test]
     fn dns_fault_partition_and_determinism() {
+        let _coins = dns_coin_guard();
         let p = FaultPlan {
             dns: DnsFaults {
                 servfail_rate: 0.2,
@@ -577,7 +589,7 @@ mod tests {
         };
         let mut counts = HashMap::new();
         for i in 0..3000 {
-            let name = format!("mx{i}.example.com");
+            let name = mx_dns::dns_name!(&format!("mx{i}.example.com"));
             let f = p.dns_fault(&name, 0, 0);
             assert_eq!(f, p.dns_fault(&name, 0, 0), "non-deterministic draw");
             *counts.entry(f).or_insert(0usize) += 1;
@@ -590,7 +602,10 @@ mod tests {
         let clean = counts.get(&None).copied().unwrap_or(0);
         assert!((1000..1400).contains(&clean), "clean: {clean}");
         // Quiet plan never faults.
-        assert_eq!(FaultPlan::none().dns_fault("a.example", 0, 0), None);
+        assert_eq!(
+            FaultPlan::none().dns_fault(&mx_dns::dns_name!("a.example"), 0, 0),
+            None
+        );
     }
 
     #[test]
@@ -686,5 +701,79 @@ mod tests {
         assert_eq!(p.transient_rate(ip("10.9.9.10"), 1), 0.5);
         // Unprofiled IPs keep the plan-wide rate (zero here).
         assert!(!p.scan_fails(ip("10.0.0.1"), 0));
+    }
+
+    /// Outcome codes of `dns_fault` over a fixed (seed, name, epoch,
+    /// attempt) grid: 0 none, 1 SERVFAIL, 2 timeout, 3 truncation. The
+    /// pinned digest fixes the coin's key bytes (dotted name, epoch,
+    /// seed, salt), so chaos runs replay identically across commits.
+    fn dns_fault_grid() -> Vec<u8> {
+        let mut codes = Vec::new();
+        for seed in [1, 9, 0xDEAD_BEEF] {
+            let p = FaultPlan {
+                dns: DnsFaults {
+                    servfail_rate: 0.1,
+                    timeout_rate: 0.1,
+                    truncation_rate: 0.1,
+                },
+                seed,
+                ..FaultPlan::none()
+            };
+            for i in 0..64 {
+                let name = mx_dns::Name::parse(&format!("MX{i}.Example{}.com", i % 7)).unwrap();
+                for epoch in [0, 17_000] {
+                    for attempt in 0..3 {
+                        codes.push(match p.dns_fault(&name, epoch, attempt) {
+                            None => 0,
+                            Some(DnsFault::ServFail) => 1,
+                            Some(DnsFault::Timeout) => 2,
+                            Some(DnsFault::Truncation) => 3,
+                        });
+                    }
+                }
+            }
+        }
+        codes
+    }
+
+    #[test]
+    fn dns_fault_draws_are_pinned() {
+        let _coins = dns_coin_guard();
+        let codes = dns_fault_grid();
+        let mut counts = [0usize; 4];
+        for &c in &codes {
+            counts[usize::from(c)] += 1;
+        }
+        assert_eq!(codes.len(), 3 * 64 * 2 * 3);
+        assert_eq!(
+            (counts, fnv1a(&codes)),
+            ([808, 105, 102, 137], 0x5a99_ada5_7983_6dc9)
+        );
+    }
+
+    #[test]
+    fn zero_dns_rates_draw_no_coins() {
+        let _coins = dns_coin_guard();
+        let quiet = FaultPlan {
+            scan_failure_rate: 0.5,
+            seed: 3,
+            ..FaultPlan::none()
+        };
+        let name = mx_dns::dns_name!("mx.example.com");
+        let coins = || mx_obs::counter!(mx_obs::names::FAULT_DNS_COINS).value();
+        mx_obs::set_enabled(true);
+        let before = coins();
+        for attempt in 0..64 {
+            assert_eq!(quiet.dns_fault(&name, 7, attempt), None);
+        }
+        let after = coins();
+        // Positive control: the counter moves once rates are non-zero.
+        let mut loud = quiet.clone();
+        loud.dns.timeout_rate = 0.5;
+        let _ = loud.dns_fault(&name, 7, 0);
+        let control = coins();
+        mx_obs::set_enabled(false);
+        assert_eq!(after, before, "a zero-rate plan drew DNS coins");
+        assert_eq!(control, after + 1, "the coin counter did not record a draw");
     }
 }

@@ -280,6 +280,7 @@ mod tests {
 
     #[test]
     fn degradation_recorded_under_dns_faults() {
+        let _coins = crate::fault::dns_coin_guard();
         let clock = SimClock::starting_at(Timestamp::from_ymd(2021, 6, 8));
         let mut b = SimNet::builder(clock);
         let mut z = Zone::new(dns_name!("example.com"));

@@ -161,7 +161,7 @@ impl Transport for SimNet {
         // reproducible and retries draw independent coins.
         if let Some(q) = query.question() {
             let day = self.clock.now().secs() / 86_400;
-            match self.faults.dns_fault(&q.name.to_string(), day, attempt) {
+            match self.faults.dns_fault(&q.name, day, attempt) {
                 Some(DnsFault::Timeout) => {
                     return Err(ResolveError::Network(format!(
                         "query for {} timed out",
@@ -375,6 +375,7 @@ mod tests {
 
     #[test]
     fn dns_faults_are_retried_transparently() {
+        let _coins = crate::fault::dns_coin_guard();
         // Rates low enough that MAX_DNS_ATTEMPTS nearly always recovers:
         // the resolution still succeeds, stats show the retries.
         let clock = SimClock::new();
@@ -413,6 +414,7 @@ mod tests {
 
     #[test]
     fn dns_fault_injection_is_deterministic() {
+        let _coins = crate::fault::dns_coin_guard();
         let mk = || {
             let clock = SimClock::new();
             let mut b = SimNet::builder(clock);

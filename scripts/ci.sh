@@ -72,6 +72,12 @@ rm -f /tmp/mx_store_a.bin /tmp/mx_store_b.bin
 echo "==> serve gate (tests/serve_gate.rs: byte-identical replay at 1/2/8 threads + chaos sweep at rates 0/0.1/0.3)"
 cargo test --release --test serve_gate -q
 
+echo "==> golden bytes (tests/golden_bytes.rs: store, delta-store and authority-answer digests pinned across commits)"
+cargo test --release --test golden_bytes -q
+
+echo "==> benchmark self-test (perfbench/: builds against the crates' public API and checks every workload at a tiny scale)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> delta gate (tests/delta_gate.rs: incremental append byte-identical to full recompute across seeds, event rates, threads 1/2/8)"
 cargo test --release --test delta_gate -q
 
