@@ -193,6 +193,40 @@ fn market_share_indexed(
     })
 }
 
+/// `(weight, share)` of each of `credits` at one stored epoch: the
+/// credit's [`market_share_at`] row, or `(0.0, 0.0)` when the epoch
+/// credits it nothing. On v2 files this is one scan of the rollup
+/// table, with no per-credit allocation and no sort. That is exact
+/// because rollup credits are unique strings: the writer folds a
+/// provider named like a company into the company credit. v1 files
+/// build the full table through [`market_share_merged`].
+pub fn credit_shares_at(
+    reader: &StoreReader<'_>,
+    epoch: usize,
+    credits: &[&str],
+) -> Result<Vec<(f64, f64)>, StoreError> {
+    let mut out = vec![(0.0, 0.0); credits.len()];
+    if reader.has_indexes() {
+        let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
+        reader.for_each_rollup(epoch, |credit, weight| {
+            for (c, slot) in credits.iter().zip(out.iter_mut()) {
+                if *c == credit {
+                    *slot = (weight, weight / total.max(1) as f64);
+                }
+            }
+            Ok(())
+        })?;
+    } else {
+        let shares = market_share_merged(reader, epoch)?;
+        for (c, slot) in credits.iter().zip(out.iter_mut()) {
+            if let Some(row) = shares.rows.iter().find(|r| r.company == *c) {
+                *slot = (row.weight, row.share);
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Count of self-hosted domains at one stored epoch (provider ID equals
 /// the domain's registered domain and the domain answers SMTP). Equal
 /// to `market::self_hosted_count` over the source result.
@@ -614,6 +648,38 @@ mod tests {
         assert!(!d2.is_empty(), "postings list non-empty for {provider}");
         assert_eq!(d2, dm);
         assert_eq!(d2, d1);
+    }
+
+    #[test]
+    fn credit_shares_match_market_rows_bitwise() {
+        let (study, pipeline, companies) = setup();
+        let v2 = study
+            .write_store(Dataset::Alexa, &pipeline, &companies)
+            .unwrap();
+        let v1 = write_study_store_v1(&study, Dataset::Alexa, &pipeline, &companies).unwrap();
+        for bytes in [&v2, &v1] {
+            let reader = StoreReader::open(bytes).unwrap();
+            for epoch in 0..reader.epoch_count() {
+                let market = market_share_at(&reader, epoch).unwrap();
+                let mut credits: Vec<&str> =
+                    market.rows.iter().map(|r| r.company.as_str()).collect();
+                credits.push("no-such-credit");
+                let got = credit_shares_at(&reader, epoch, &credits).unwrap();
+                assert_eq!(got.len(), credits.len());
+                for (credit, (weight, share)) in credits.iter().zip(got) {
+                    let want = market
+                        .rows
+                        .iter()
+                        .find(|r| r.company == *credit)
+                        .map_or((0.0, 0.0), |r| (r.weight, r.share));
+                    assert_eq!(
+                        (weight.to_bits(), share.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "epoch {epoch} credit {credit}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

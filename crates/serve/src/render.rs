@@ -66,9 +66,12 @@ impl Response {
 
     /// An error response with a `{"error": ...}` body.
     pub fn error(status: u16, message: &str) -> Self {
+        let mut body = String::from("{\"error\":");
+        push_json_str(&mut body, message);
+        body.push('}');
         Response {
             status,
-            body: format!("{{\"error\":{}}}", json_str(message)).into_bytes(),
+            body: body.into_bytes(),
             retry_after: None,
             content_type: CONTENT_TYPE_JSON,
             etag: None,
@@ -145,74 +148,117 @@ impl Response {
     }
 }
 
-/// Render a string as a JSON string literal (quotes included),
-/// escaping quotes, backslashes and control bytes.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(MAX_ESCAPED_HINT);
+/// Append `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control bytes. Unescaped runs are copied
+/// whole.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
-    out
 }
 
-/// Capacity hint for escaped strings; real strings here are short
-/// (domain names, provider ids).
-const MAX_ESCAPED_HINT: usize = 64;
-
-/// Render an `f64` deterministically with six decimal places — enough
+/// Append an `f64` deterministically with six decimal places — enough
 /// for market shares and weights, identical on every platform.
-pub fn json_f64(v: f64) -> String {
+pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v:.6}")
+        let _ = write!(out, "{v:.6}");
     } else {
         // NaN/inf are not valid JSON; the store never produces them,
         // but the renderer stays total anyway.
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// Join pre-rendered JSON values into an array literal.
-pub fn json_arr<I: IntoIterator<Item = String>>(items: I) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for item in items {
-        if !first {
+/// Append a JSON array literal, rendering each item with `each`.
+pub fn push_json_arr<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&item);
+        each(out, item);
     }
     out.push(']');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json_str(s: &str) -> String {
+        let mut out = String::new();
+        push_json_str(&mut out, s);
+        out
+    }
+
+    fn json_f64(v: f64) -> String {
+        let mut out = String::new();
+        push_json_f64(&mut out, v);
+        out
+    }
+
     #[test]
     fn escapes() {
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_str("x\ny"), "\"x\\ny\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_str("é\r\tü\u{1f}"), "\"é\\r\\tü\\u001f\"");
+        assert_eq!(json_str(""), "\"\"");
+    }
+
+    /// The escape table, byte for byte, against the char-at-a-time
+    /// form it replaced.
+    #[test]
+    fn escapes_match_char_walk() {
+        let all: String = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .chain("\u{7f}é✓\u{1F600}".chars())
+            .collect();
+        let mut want = String::from("\"");
+        for c in all.chars() {
+            match c {
+                '"' => want.push_str("\\\""),
+                '\\' => want.push_str("\\\\"),
+                '\n' => want.push_str("\\n"),
+                '\r' => want.push_str("\\r"),
+                '\t' => want.push_str("\\t"),
+                c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                c => want.push(c),
+            }
+        }
+        want.push('"');
+        assert_eq!(json_str(&all), want);
     }
 
     #[test]
     fn floats_fixed_width() {
         assert_eq!(json_f64(0.25), "0.250000");
         assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 
     #[test]
@@ -264,7 +310,9 @@ mod tests {
 
     #[test]
     fn arr_joins() {
-        assert_eq!(json_arr(["1".to_string(), "2".to_string()]), "[1,2]");
-        assert_eq!(json_arr(Vec::<String>::new()), "[]");
+        let mut out = String::new();
+        push_json_arr(&mut out, [1, 2], |o, n| o.push_str(&n.to_string()));
+        push_json_arr(&mut out, Vec::<u8>::new(), |_, _| {});
+        assert_eq!(out, "[1,2][]");
     }
 }

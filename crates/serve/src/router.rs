@@ -9,10 +9,14 @@
 //! run them on any number of `mx-par` workers and still replay
 //! byte-identically.
 
+use std::fmt::Write as _;
+
 use crate::http::{Method, Request};
-use crate::render::{json_arr, json_f64, json_str, Response};
+use crate::render::{push_json_arr, push_json_f64, push_json_str, Response};
 use mx_analysis::churn::ChurnCategory;
-use mx_analysis::store::{churn_from_store, domains_of_provider, market_share_at};
+use mx_analysis::store::{
+    churn_from_store, credit_shares_at, domains_of_provider, market_share_at,
+};
 use mx_store::{StoreError, StoreReader};
 
 /// Maximum domains rendered in a `/providers/{p}/domains` answer; the
@@ -98,6 +102,19 @@ impl Endpoint {
         }
     }
 
+    /// The data-plane endpoints: their bodies are pure functions of the
+    /// store, so they are cached and carry the store's etag.
+    fn is_data_plane(self) -> bool {
+        !matches!(
+            self,
+            Endpoint::Healthz
+                | Endpoint::Metrics
+                | Endpoint::DebugTrace
+                | Endpoint::DebugAttribution
+                | Endpoint::Other
+        )
+    }
+
     /// Endpoints that read the live observability registries and must
     /// therefore be answered in the serial loop (like `/healthz`), and
     /// never from either cache — their bodies change between requests.
@@ -152,7 +169,7 @@ impl<'a> ServeState<'a> {
     /// comparison per RFC 7232: a `W/` prefix is ignored and `*`
     /// matches any current representation.
     pub fn revalidates(&self, req: &Request) -> bool {
-        if json_cache_key(req).is_none() {
+        if !Endpoint::of(&req.path).is_data_plane() {
             return false;
         }
         let Some(header) = req.header("if-none-match") else {
@@ -176,7 +193,7 @@ impl<'a> ServeState<'a> {
             return Handled::plain(Response::not_modified(self.etag));
         }
         let mut handled = self.dispatch(req);
-        if handled.response.status == 200 && json_cache_key(req).is_some() {
+        if handled.response.status == 200 && Endpoint::of(&req.path).is_data_plane() {
             handled.response.etag = Some(self.etag);
         }
         handled
@@ -263,18 +280,24 @@ impl<'a> ServeState<'a> {
             Ok(s) => s,
             Err(e) => return store_error(&e),
         };
-        let rows = json_arr(shares.rows.iter().take(top).map(|r| {
-            format!(
-                "{{\"company\":{},\"weight\":{},\"share\":{}}}",
-                json_str(&r.company),
-                json_f64(r.weight),
-                json_f64(r.share),
-            )
-        }));
-        Response::ok(format!(
-            "{{\"epoch\":{},\"total_domains\":{},\"rows\":{}}}",
-            epoch, shares.total_domains, rows
-        ))
+        let rows = shares.rows.iter().take(top);
+        let mut body = String::new();
+        let _ = write!(
+            body,
+            "{{\"epoch\":{epoch},\"total_domains\":{},\"rows\":",
+            shares.total_domains
+        );
+        push_json_arr(&mut body, rows, |out, r| {
+            out.push_str("{\"company\":");
+            push_json_str(out, &r.company);
+            out.push_str(",\"weight\":");
+            push_json_f64(out, r.weight);
+            out.push_str(",\"share\":");
+            push_json_f64(out, r.share);
+            out.push('}');
+        });
+        body.push('}');
+        Response::ok(body)
     }
 
     fn series(&self, req: &Request) -> Response {
@@ -290,38 +313,41 @@ impl<'a> ServeState<'a> {
         if credits.len() > MAX_SERIES_CREDITS {
             return Response::error(400, "too many credits");
         }
+        // One rollup scan per epoch; `points` is epoch-major.
         let epochs = self.reader.epoch_count();
-        let mut dates: Vec<String> = Vec::new();
-        let mut points: Vec<Vec<String>> = credits.iter().map(|_| Vec::new()).collect();
+        let labels: Vec<&str> = (0..epochs)
+            .map(|e| self.reader.label(e).unwrap_or("?"))
+            .collect();
+        let mut points: Vec<(f64, f64)> = Vec::new();
         for epoch in 0..epochs {
-            let label = self.reader.label(epoch).unwrap_or("?").to_string();
-            let shares = match market_share_at(self.reader, epoch) {
-                Ok(s) => s,
+            match credit_shares_at(self.reader, epoch, &credits) {
+                Ok(shares) => points.extend(shares),
                 Err(e) => return store_error(&e),
-            };
-            for (credit, series) in credits.iter().zip(points.iter_mut()) {
-                let row = shares.rows.iter().find(|r| &r.company == credit);
-                series.push(format!(
-                    "{{\"date\":{},\"weight\":{},\"share\":{}}}",
-                    json_str(&label),
-                    json_f64(row.map(|r| r.weight).unwrap_or(0.0)),
-                    json_f64(row.map(|r| r.share).unwrap_or(0.0)),
-                ));
             }
-            dates.push(json_str(&label));
         }
-        let series = json_arr(credits.iter().zip(points).map(|(credit, pts)| {
-            format!(
-                "{{\"credit\":{},\"points\":{}}}",
-                json_str(credit),
-                json_arr(pts)
-            )
-        }));
-        Response::ok(format!(
-            "{{\"dates\":{},\"series\":{}}}",
-            json_arr(dates),
-            series
-        ))
+        let mut body = String::new();
+        body.push_str("{\"dates\":");
+        push_json_arr(&mut body, &labels, |out, label| push_json_str(out, label));
+        body.push_str(",\"series\":");
+        push_json_arr(&mut body, credits.iter().enumerate(), |out, (c, credit)| {
+            out.push_str("{\"credit\":");
+            push_json_str(out, credit);
+            out.push_str(",\"points\":");
+            let series = points.iter().skip(c).step_by(credits.len().max(1));
+            let dated = labels.iter().zip(series);
+            push_json_arr(out, dated, |out, (label, (weight, share))| {
+                out.push_str("{\"date\":");
+                push_json_str(out, label);
+                out.push_str(",\"weight\":");
+                push_json_f64(out, *weight);
+                out.push_str(",\"share\":");
+                push_json_f64(out, *share);
+                out.push('}');
+            });
+            out.push('}');
+        });
+        body.push('}');
+        Response::ok(body)
     }
 
     fn churn(&self, req: &Request) -> Response {
@@ -337,22 +363,23 @@ impl<'a> ServeState<'a> {
             Ok(m) => m,
             Err(e) => return store_error(&e),
         };
-        let labels = json_arr(
-            ChurnCategory::ALL
-                .iter()
-                .map(|c| json_str(c.label())),
+        let mut body = String::new();
+        let _ = write!(
+            body,
+            "{{\"from\":{from},\"to\":{to},\"total\":{},\"labels\":",
+            matrix.total
         );
-        let rows = json_arr(ChurnCategory::ALL.iter().map(|a| {
-            json_arr(
-                ChurnCategory::ALL
-                    .iter()
-                    .map(|b| matrix.flow(*a, *b).to_string()),
-            )
-        }));
-        Response::ok(format!(
-            "{{\"from\":{},\"to\":{},\"total\":{},\"labels\":{},\"matrix\":{}}}",
-            from, to, matrix.total, labels, rows
-        ))
+        push_json_arr(&mut body, ChurnCategory::ALL, |out, c| {
+            push_json_str(out, c.label())
+        });
+        body.push_str(",\"matrix\":");
+        push_json_arr(&mut body, ChurnCategory::ALL, |out, a| {
+            push_json_arr(out, ChurnCategory::ALL, |out, b| {
+                let _ = write!(out, "{}", matrix.flow(a, b));
+            });
+        });
+        body.push('}');
+        Response::ok(body)
     }
 
     fn providers(&self, req: &Request) -> Response {
@@ -373,20 +400,18 @@ impl<'a> ServeState<'a> {
             Err(e) => return store_error(&e),
         };
         let count = domains.len();
-        let listed = json_arr(
-            domains
-                .iter()
-                .take(MAX_DOMAINS_RENDER)
-                .map(|d| json_str(d)),
+        let listed = domains.iter().take(MAX_DOMAINS_RENDER);
+        let mut body = String::new();
+        body.push_str("{\"provider\":");
+        push_json_str(&mut body, name);
+        let _ = write!(
+            body,
+            ",\"epoch\":{epoch},\"count\":{count},\"truncated\":{},\"domains\":",
+            count > MAX_DOMAINS_RENDER
         );
-        Response::ok(format!(
-            "{{\"provider\":{},\"epoch\":{},\"count\":{},\"truncated\":{},\"domains\":{}}}",
-            json_str(name),
-            epoch,
-            count,
-            count > MAX_DOMAINS_RENDER,
-            listed
-        ))
+        push_json_arr(&mut body, listed, |out, d| push_json_str(out, d));
+        body.push('}');
+        Response::ok(body)
     }
 
     fn diff(&self, req: &Request) -> Response {
@@ -405,45 +430,54 @@ impl<'a> ServeState<'a> {
         if from >= epochs || to >= epochs {
             return Response::error(404, "unknown epoch");
         }
-        let mut added = 0usize;
-        let mut removed = 0usize;
-        let mut changed = 0usize;
-        let mut sample_added: Vec<String> = Vec::new();
-        let mut sample_removed: Vec<String> = Vec::new();
-        let mut sample_changed: Vec<String> = Vec::new();
+        let mut added = DiffSample::new();
+        let mut removed = DiffSample::new();
+        let mut changed = DiffSample::new();
         let walk = self.reader.diff(from, to, |name, before, after| {
             match (before, after) {
-                (None, Some(_)) => {
-                    added = added.saturating_add(1);
-                    if sample_added.len() < MAX_DIFF_SAMPLE {
-                        sample_added.push(json_str(name));
-                    }
-                }
-                (Some(_), None) => {
-                    removed = removed.saturating_add(1);
-                    if sample_removed.len() < MAX_DIFF_SAMPLE {
-                        sample_removed.push(json_str(name));
-                    }
-                }
-                _ => {
-                    changed = changed.saturating_add(1);
-                    if sample_changed.len() < MAX_DIFF_SAMPLE {
-                        sample_changed.push(json_str(name));
-                    }
-                }
+                (None, Some(_)) => added.note(name),
+                (Some(_), None) => removed.note(name),
+                _ => changed.note(name),
             }
             Ok(())
         });
         if let Err(e) = walk {
             return store_error(&e);
         }
-        Response::ok(format!(
-            "{{\"from\":{from},\"to\":{to},\"added\":{added},\"removed\":{removed},\
-             \"changed\":{changed},\"sample\":{{\"added\":{},\"removed\":{},\"changed\":{}}}}}",
-            json_arr(sample_added),
-            json_arr(sample_removed),
-            json_arr(sample_changed),
-        ))
+        let mut body = String::new();
+        let _ = write!(
+            body,
+            "{{\"from\":{from},\"to\":{to},\"added\":{},\"removed\":{},\"changed\":{},\
+             \"sample\":{{\"added\":{}],\"removed\":{}],\"changed\":{}]}}}}",
+            added.count, removed.count, changed.count, added.names, removed.names, changed.names,
+        );
+        Response::ok(body)
+    }
+}
+
+/// One `/diff` category: how many names fell in it, and the JSON array
+/// (still open) of the first [`MAX_DIFF_SAMPLE`] of them in walk order.
+struct DiffSample {
+    count: usize,
+    names: String,
+}
+
+impl DiffSample {
+    fn new() -> Self {
+        DiffSample {
+            count: 0,
+            names: String::from("["),
+        }
+    }
+
+    fn note(&mut self, name: &str) {
+        if self.count < MAX_DIFF_SAMPLE {
+            if self.count > 0 {
+                self.names.push(',');
+            }
+            push_json_str(&mut self.names, name);
+        }
+        self.count = self.count.saturating_add(1);
     }
 }
 
@@ -535,12 +569,11 @@ pub fn lookup_response(domain: &str, epoch: usize, fragment: &str) -> Response {
     if fragment == "null" {
         return Response::error(404, "unknown domain");
     }
-    Response::ok(format!(
-        "{{\"domain\":{},\"epoch\":{},\"row\":{}}}",
-        json_str(domain),
-        epoch,
-        fragment
-    ))
+    let mut body = String::new();
+    body.push_str("{\"domain\":");
+    push_json_str(&mut body, domain);
+    let _ = write!(body, ",\"epoch\":{epoch},\"row\":{fragment}}}");
+    Response::ok(body)
 }
 
 /// Hot-row cache key for one `(domain, epoch)` lookup.
@@ -571,49 +604,42 @@ pub fn row_cache_probe(state: &ServeState<'_>, req: &Request) -> Option<(String,
 /// unknown endpoints are cheap 404s, and the `/metrics` + `/debug/*`
 /// introspection bodies change between requests).
 pub fn json_cache_key(req: &Request) -> Option<String> {
-    match Endpoint::of(&req.path) {
-        Endpoint::Healthz
-        | Endpoint::Metrics
-        | Endpoint::DebugTrace
-        | Endpoint::DebugAttribution
-        | Endpoint::Other => None,
-        _ => {
-            let mut key = req.path.clone();
-            for (k, v) in &req.query {
-                key.push('&');
-                key.push_str(k);
-                key.push('=');
-                key.push_str(v);
-            }
-            Some(key)
-        }
+    if !Endpoint::of(&req.path).is_data_plane() {
+        return None;
     }
+    let mut key = req.path.clone();
+    for (k, v) in &req.query {
+        key.push('&');
+        key.push_str(k);
+        key.push('=');
+        key.push_str(v);
+    }
+    Some(key)
 }
 
 /// Render one store row as a JSON fragment (the hot-row cache value).
 pub fn render_row(row: &mx_store::Row<'_>) -> String {
-    let shares = json_arr(row.shares().map(|s| {
-        let company = match s.company {
-            Some(c) => json_str(c),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"provider\":{},\"company\":{},\"weight\":{}}}",
-            json_str(s.provider),
-            company,
-            json_f64(s.weight),
-        )
-    }));
-    let dominant = match row.dominant() {
-        Some(s) => json_str(s.provider),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"has_smtp\":{},\"dominant\":{},\"shares\":{}}}",
-        row.has_smtp(),
-        dominant,
-        shares
-    )
+    let mut out = String::new();
+    let _ = write!(out, "{{\"has_smtp\":{},\"dominant\":", row.has_smtp());
+    match row.dominant() {
+        Some(s) => push_json_str(&mut out, s.provider),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"shares\":");
+    push_json_arr(&mut out, row.shares(), |out, s| {
+        out.push_str("{\"provider\":");
+        push_json_str(out, s.provider);
+        out.push_str(",\"company\":");
+        match s.company {
+            Some(c) => push_json_str(out, c),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"weight\":");
+        push_json_f64(out, s.weight);
+        out.push('}');
+    });
+    out.push('}');
+    out
 }
 
 /// Should this request's successful response land in the JSON cache?

@@ -12,8 +12,9 @@
 //! - **full-epoch iteration** resolves base + delta layers with a
 //!   k-way merge, reusing one name buffer per layer (no per-row
 //!   allocation);
-//! - **epoch diffs** feed `analysis::churn` the changed/added/removed
-//!   rows between two resolved epochs;
+//! - **epoch diffs** walk the same merge once over both epochs'
+//!   layers and report the added/removed/changed rows between two
+//!   resolved epochs in ascending name order;
 //! - **index queries** (v2 files) answer market share, rollups,
 //!   "domains of provider X" and digest walks straight from the index
 //!   footer, without touching the epoch layers.
@@ -526,90 +527,104 @@ impl<'a> StoreReader<'a> {
         F: FnMut(&str, &Row<'_>) -> Result<(), StoreError>,
     {
         self.epoch(epoch)?;
-        let mut layers: Vec<LayerCursor<'a>> = Vec::new();
-        for lix in 0..=epoch {
-            layers.push(LayerCursor::new(self.epoch(lix)?));
-        }
-        for layer in layers.iter_mut() {
-            layer.advance()?;
-        }
-        // Scratch holds the winning name of the round; reused.
-        let mut scratch: Vec<u8> = Vec::new();
         let mut rows_seen: u64 = 0;
-        loop {
-            // Pick the smallest current name; the highest layer index
-            // wins ties (newer epochs override older ones).
-            let mut win: Option<usize> = None;
-            for (lix, layer) in layers.iter().enumerate() {
-                if layer.done {
-                    continue;
-                }
-                win = match win {
-                    None => Some(lix),
-                    Some(w) => match layers.get(w) {
-                        Some(cur_win) if layer.name <= cur_win.name => Some(lix),
-                        _ => Some(w),
-                    },
-                };
-            }
-            let Some(w) = win else { break };
-            {
-                let Some(winner) = layers.get(w) else { break };
-                scratch.clear();
-                scratch.extend_from_slice(&winner.name);
-            }
-            // Consume the same name in every older layer it appears in.
-            for (lix, layer) in layers.iter_mut().enumerate() {
-                if lix != w && !layer.done && layer.name == scratch {
-                    layer.advance()?;
-                }
-            }
-            let Some(winner) = layers.get_mut(w) else { break };
-            let tag = winner.tag;
-            let has_smtp = tag == TAG_ROW_SMTP;
-            let share_count = winner.share_count;
-            let body = winner.body;
-            winner.advance()?;
-            if tag == TAG_REMOVE {
-                continue;
-            }
-            let name = std::str::from_utf8(&scratch).map_err(|_utf8| StoreError::BadUtf8)?;
-            let row = Row {
-                reader: self,
-                has_smtp,
-                share_count,
-                bytes: body,
+        self.merge_layers(epoch, |name, hits| {
+            let Some(row) = self.row_as_of(hits, epoch) else {
+                return Ok(());
             };
+            let name = std::str::from_utf8(name).map_err(|_utf8| StoreError::BadUtf8)?;
             rows_seen = rows_seen.saturating_add(1);
-            f(name, &row)?;
-        }
+            f(name, &row)
+        })?;
         mx_obs::counter_volatile!(mx_obs::names::STORE_READ_ROWS).add(rows_seen);
         Ok(())
     }
 
-    /// Walk the differences between the resolved views of two epochs.
-    /// For each changed domain the callback sees `(name, old, new)`:
-    /// `old = None` for additions, `new = None` for removals; rows
-    /// present and identical in both views are skipped.
+    /// Walk the differences between the resolved views of two epochs
+    /// in one merged pass over layers `0..=max(from, to)`, in ascending
+    /// name order (any `from`/`to` order; `from == to` reports
+    /// nothing). For each name whose rows differ the callback sees
+    /// `(name, old, new)`: `old = None` for additions, `new = None` for
+    /// removals; names present in both views with equal rows are
+    /// skipped. The callback may abort the walk by returning an error.
     pub fn diff<F>(&self, from: usize, to: usize, mut f: F) -> Result<(), StoreError>
     where
         F: FnMut(&str, Option<&Row<'_>>, Option<&Row<'_>>) -> Result<(), StoreError>,
     {
         self.epoch(from)?;
         self.epoch(to)?;
-        self.for_each_row(from, |name, old| {
-            match self.lookup(name, to)? {
-                None => f(name, Some(old), None),
-                Some(new) if new != *old => f(name, Some(old), Some(&new)),
-                Some(_same) => Ok(()),
+        let (lo, hi) = (from.min(to), from.max(to));
+        self.merge_layers(hi, |name, hits| {
+            // A name no layer in `lo+1..=hi` touches resolves to the
+            // same entry on both sides.
+            let touched = hits
+                .get(lo.saturating_add(1)..)
+                .is_some_and(|above| above.iter().any(Option::is_some));
+            if !touched {
+                return Ok(());
             }
-        })?;
-        self.for_each_row(to, |name, new| {
-            if self.lookup(name, from)?.is_none() {
-                f(name, None, Some(new))
-            } else {
-                Ok(())
+            let old = self.row_as_of(hits, from);
+            let new = self.row_as_of(hits, to);
+            if old == new {
+                return Ok(());
             }
+            let name = std::str::from_utf8(name).map_err(|_utf8| StoreError::BadUtf8)?;
+            f(name, old.as_ref(), new.as_ref())
+        })
+    }
+
+    /// The one layer-merge loop behind [`Self::for_each_row`] and
+    /// [`Self::diff`]: a k-way merge over the layers `0..=top` that
+    /// calls `f(name, hits)` once per distinct name, in ascending
+    /// order. `hits[l]` is layer `l`'s entry for the name, `None` where
+    /// the layer does not hold it.
+    fn merge_layers<F>(&self, top: usize, mut f: F) -> Result<(), StoreError>
+    where
+        F: FnMut(&[u8], &[Option<LayerEntry<'a>>]) -> Result<(), StoreError>,
+    {
+        let mut layers: Vec<LayerCursor<'a>> = Vec::new();
+        for lix in 0..=top {
+            layers.push(LayerCursor::new(self.epoch(lix)?));
+        }
+        for layer in layers.iter_mut() {
+            layer.advance()?;
+        }
+        let mut hits: Vec<Option<LayerEntry<'a>>> = vec![None; layers.len()];
+        // Scratch holds the name of the round; reused.
+        let mut scratch: Vec<u8> = Vec::new();
+        loop {
+            let mut min: Option<&[u8]> = None;
+            for layer in layers.iter().filter(|l| !l.done) {
+                if min.map_or(true, |m| layer.name.as_slice() < m) {
+                    min = Some(&layer.name);
+                }
+            }
+            let Some(min) = min else { break };
+            scratch.clear();
+            scratch.extend_from_slice(min);
+            // Take the name's entry from every layer that holds it.
+            for (layer, hit) in layers.iter_mut().zip(hits.iter_mut()) {
+                *hit = None;
+                if !layer.done && layer.name == scratch {
+                    *hit = Some(layer.entry);
+                    layer.advance()?;
+                }
+            }
+            f(&scratch, &hits)?;
+        }
+        Ok(())
+    }
+
+    /// The row a merge round resolves to as of `epoch`: the topmost
+    /// layer at or below `epoch` that holds the name wins; `None` when
+    /// none does or that entry is a removal.
+    fn row_as_of(&self, hits: &[Option<LayerEntry<'a>>], epoch: usize) -> Option<Row<'_>> {
+        let entry = hits.get(..=epoch)?.iter().rev().find_map(|h| *h)?;
+        (entry.tag != TAG_REMOVE).then_some(Row {
+            reader: self,
+            has_smtp: entry.tag == TAG_ROW_SMTP,
+            share_count: entry.share_count,
+            bytes: entry.body,
         })
     }
 
@@ -1165,15 +1180,22 @@ impl<'r> Iterator for DigestIter<'r> {
     }
 }
 
+/// One decoded layer entry: a row or a removal.
+#[derive(Clone, Copy)]
+struct LayerEntry<'a> {
+    tag: u8,
+    share_count: usize,
+    /// Encoded share bytes; empty for a removal.
+    body: &'a [u8],
+}
+
 /// Sequential cursor over one epoch layer's entries, materializing the
 /// current name into a reused buffer.
 struct LayerCursor<'a> {
     cur: Cur<'a>,
     left: u64,
     name: Vec<u8>,
-    tag: u8,
-    share_count: usize,
-    body: &'a [u8],
+    entry: LayerEntry<'a>,
     entries: &'a [u8],
     done: bool,
 }
@@ -1184,9 +1206,11 @@ impl<'a> LayerCursor<'a> {
             cur: Cur::new(ep.entries),
             left: ep.entry_count,
             name: Vec::new(),
-            tag: TAG_REMOVE,
-            share_count: 0,
-            body: &[],
+            entry: LayerEntry {
+                tag: TAG_REMOVE,
+                share_count: 0,
+                body: &[],
+            },
             entries: ep.entries,
             done: false,
         }
@@ -1207,19 +1231,26 @@ impl<'a> LayerCursor<'a> {
         let suffix = self.cur.bytes(suffix_len)?;
         self.name.truncate(prefix);
         self.name.extend_from_slice(suffix);
-        self.tag = self.cur.u8()?;
-        if self.tag == TAG_REMOVE {
-            self.share_count = 0;
-            self.body = &[];
+        let tag = self.cur.u8()?;
+        self.entry = if tag == TAG_REMOVE {
+            LayerEntry {
+                tag,
+                share_count: 0,
+                body: &[],
+            }
         } else {
-            self.share_count = self.cur.count()?;
+            let share_count = self.cur.count()?;
             let body_start = self.cur.pos();
-            skip_shares(&mut self.cur, self.share_count)?;
-            self.body = self
-                .entries
-                .get(body_start..self.cur.pos())
-                .ok_or(StoreError::Truncated)?;
-        }
+            skip_shares(&mut self.cur, share_count)?;
+            LayerEntry {
+                tag,
+                share_count,
+                body: self
+                    .entries
+                    .get(body_start..self.cur.pos())
+                    .ok_or(StoreError::Truncated)?,
+            }
+        };
         Ok(())
     }
 }

@@ -6,6 +6,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The bench_pipeline --obs, --store and --serve stages rewrite these
+# committed results with this host's timings. Keep copies and put them
+# back on exit (success, failure or interrupt), so a CI run leaves the
+# working tree clean.
+BENCH_RESULTS="BENCH_obs.json BENCH_store.json BENCH_serve.json"
+BENCH_SAVED=$(mktemp -d)
+for f in $BENCH_RESULTS; do
+    cp "results/$f" "$BENCH_SAVED/$f"
+done
+restore_bench_results() {
+    for f in $BENCH_RESULTS; do
+        cp "$BENCH_SAVED/$f" "results/$f"
+    done
+    rm -rf "$BENCH_SAVED"
+}
+trap restore_bench_results EXIT
+trap 'exit 130' INT TERM HUP
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -72,7 +90,7 @@ rm -f /tmp/mx_store_a.bin /tmp/mx_store_b.bin
 echo "==> serve gate (tests/serve_gate.rs: byte-identical replay at 1/2/8 threads + chaos sweep at rates 0/0.1/0.3)"
 cargo test --release --test serve_gate -q
 
-echo "==> golden bytes (tests/golden_bytes.rs: store, delta-store and authority-answer digests pinned across commits)"
+echo "==> golden bytes (tests/golden_bytes.rs: store, delta-store, authority-answer and serve-body digests pinned across commits)"
 cargo test --release --test golden_bytes -q
 
 echo "==> benchmark self-test (perfbench/: builds against the crates' public API and checks every workload at a tiny scale)"
@@ -84,7 +102,7 @@ cargo test --release --test delta_gate -q
 echo "==> delta codec robustness (tests/malformed_input.rs: event-log decoding rejects corruption without panicking)"
 cargo test --release --test malformed_input -q
 
-echo "==> serve shed (saturating burst sheds 503 while /healthz answers; refreshes results/BENCH_serve.json)"
+echo "==> serve shed (saturating burst sheds 503 while /healthz answers; rewrites results/BENCH_serve.json, restored on exit)"
 cargo run --quiet --release -p mx-bench --bin bench_pipeline -- --serve
 
 echo "==> attribution smoke (small-scale --attribution must produce a non-empty stage table)"

@@ -18,9 +18,9 @@
 
 use mx_analysis::observe::observe_world;
 use mx_analysis::store::{
-    churn_from_store, churn_from_store_merged, domains_of_provider, domains_of_provider_merged,
-    market_share_at, market_share_merged, self_hosted_at, self_hosted_merged, series_from_store,
-    write_study_store_v1, StudyStoreExt,
+    churn_from_store, churn_from_store_merged, credit_shares_at, domains_of_provider,
+    domains_of_provider_merged, market_share_at, market_share_merged, self_hosted_at,
+    self_hosted_merged, series_from_store, write_study_store_v1, StudyStoreExt,
 };
 use mx_corpus::{company_map, provider_knowledge, Dataset, ScenarioConfig, Study};
 use mx_infer::{assignment_from_row, CompanyMap, Pipeline};
@@ -259,7 +259,9 @@ fn v1_files_answer_identically_through_merge_fallback() {
 /// Deterministic corruption sweep over a real store file: truncations
 /// at a fixed stride plus single-byte XORs with fixed masks. Every
 /// mutant must either fail `open` with a typed error or open and then
-/// survive full iteration + sidecar decoding — no panics, ever.
+/// survive full iteration, sidecar decoding, the index surfaces, the
+/// rollup-backed `/series` read and `diff` over every epoch pair — no
+/// panics, ever.
 #[test]
 fn corrupted_stores_never_panic() {
     let bytes = build_store(7, Dataset::Gov);
@@ -285,6 +287,9 @@ fn corrupted_stores_never_panic() {
             let Ok(reader) = StoreReader::open(&mutant) else {
                 continue; // typed error: exactly what the contract asks
             };
+            // A full `/series` request: known credits plus an unknown one.
+            let mut credits: Vec<&str> = reader.companies().iter().copied().take(7).collect();
+            credits.push("no-such-credit");
             for epoch in 0..reader.epoch_count() {
                 let _ = reader.for_each_row(epoch, |_name, row| {
                     for s in row.shares() {
@@ -301,6 +306,20 @@ fn corrupted_stores_never_panic() {
                     for _row in digest {}
                 }
                 let _ = reader.domains_of_provider("example.gov", epoch);
+                // The rollup-backed `/series` path.
+                let _ = credit_shares_at(&reader, epoch, &credits);
+                // `diff` over every epoch pair; swapping the two sides
+                // decodes the same entries, so each pair runs once.
+                for to in epoch..reader.epoch_count() {
+                    let _ = reader.diff(epoch, to, |_name, old, new| {
+                        for row in [old, new].into_iter().flatten() {
+                            for s in row.shares() {
+                                let _ = (s.provider, s.company, s.weight, s.source);
+                            }
+                        }
+                        Ok(())
+                    });
+                }
             }
             let _ = reader.verify_indexes();
         }
