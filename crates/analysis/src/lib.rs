@@ -47,5 +47,5 @@ pub use report::{pct, Table};
 pub use store::{
     churn_from_store, churn_from_store_merged, credit_shares_at, domains_of_provider,
     domains_of_provider_merged, market_share_at, market_share_merged, self_hosted_at,
-    self_hosted_merged, series_from_store, write_study_store, write_study_store_v1, StudyStoreExt,
+    self_hosted_merged, series_from_store, write_study_store, StudyStoreExt,
 };

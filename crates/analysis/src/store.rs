@@ -8,18 +8,17 @@
 //! market/longitudinal/churn tables from a [`StoreReader`] without the
 //! original observations.
 //!
-//! Each query has two implementations. The `*_merged` variants walk
-//! the epoch's delta layers row by row — the only option for
-//! `mx-store/1` files, and the reference semantics. The public entry
-//! points dispatch on [`StoreReader::has_indexes`]: against a
-//! `mx-store/2` file they answer from the index footer instead
+//! The public entry points answer from the store's index footer
 //! (rollup + summary for market share, the per-row digest for
 //! self-hosted counts and churn, postings lists for
-//! [`domains_of_provider`]) and skip the merge entirely. Both paths
+//! [`domains_of_provider`]) without merging the epoch's delta layers.
+//! The `*_merged` variants walk those layers row by row instead: they
+//! are the reference oracles the index answers are checked against
+//! (`tests/store_gate.rs` across seeds and thread counts, and
+//! `bench_pipeline --store` before it times anything). Both paths
 //! accumulate weights in the same dotted-name byte order as the
 //! in-memory analyses, so all three agree — bit-for-bit on every
-//! `f64` (`tests/store_gate.rs` enforces this across seeds and thread
-//! counts).
+//! `f64`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -60,33 +59,6 @@ pub fn write_study_store(
     Ok(writer.finish())
 }
 
-/// Like [`write_study_store`], but emitting the legacy `mx-store/1`
-/// format (no index footer). Exists for compatibility fixtures and for
-/// benchmarking the merge paths against a file with identical epoch
-/// layers; new code should use [`write_study_store`].
-pub fn write_study_store_v1(
-    study: &Study,
-    dataset: Dataset,
-    pipeline: &Pipeline,
-    companies: &CompanyMap,
-) -> Result<Vec<u8>, StoreError> {
-    let mut writer = StoreWriter::new();
-    for k in 0..mx_corpus::SNAPSHOT_DATES.len() {
-        let world = study.world_at(k);
-        let data = observe::observe_world(&world);
-        let Some(obs) = data.dataset(dataset) else {
-            continue; // .gov before June 2018
-        };
-        let result = pipeline.run(obs);
-        writer.add_epoch(
-            &world.date.ym_label(),
-            result_rows(&result, companies),
-            &obs.acquisition,
-        )?;
-    }
-    Ok(writer.finish_v1())
-}
-
 /// Store persistence as a method on [`Study`].
 pub trait StudyStoreExt {
     /// Serialize this study's `dataset` snapshots under `pipeline`;
@@ -121,23 +93,34 @@ fn company_or_provider<'r>(share: &mx_store::Share<'r>) -> &'r str {
 /// every `f64` bit — to `market::market_share(result, companies,
 /// None)` over the in-memory result the epoch was written from.
 ///
-/// Answered from the v2 rollup + summary sections when the file has
-/// them ([`StoreReader::has_indexes`]); falls back to
-/// [`market_share_merged`] on `mx-store/1` files.
+/// Answered off the rollup table: the per-credit weight sums were
+/// accumulated at write time in the same sorted-row walk
+/// [`market_share_merged`] replays, so the `f64`s match bit for bit;
+/// only the final sort happens here.
 pub fn market_share_at(
     reader: &StoreReader<'_>,
     epoch: usize,
 ) -> Result<MarketShare, StoreError> {
-    if reader.has_indexes() {
-        market_share_indexed(reader, epoch)
-    } else {
-        market_share_merged(reader, epoch)
-    }
+    let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
+    let mut rows: Vec<MarketShareRow> = Vec::new();
+    reader.for_each_rollup(epoch, |credit, weight| {
+        rows.push(MarketShareRow {
+            company: credit.to_string(),
+            weight,
+            share: weight / total.max(1) as f64,
+        });
+        Ok(())
+    })?;
+    rows.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.company.cmp(&b.company)));
+    Ok(MarketShare {
+        rows,
+        total_domains: total,
+    })
 }
 
 /// [`market_share_at`] via the merge path: walk every resolved row of
-/// the epoch and accumulate credited weights. Works on any store
-/// version; the reference the v2 index path is gated against.
+/// the epoch and accumulate credited weights. The reference oracle the
+/// index path is checked against.
 pub fn market_share_merged(
     reader: &StoreReader<'_>,
     epoch: usize,
@@ -168,62 +151,27 @@ pub fn market_share_merged(
     })
 }
 
-/// [`market_share_at`] off the v2 rollup table: the per-credit weight
-/// sums were accumulated at write time in the same sorted-row walk the
-/// merge path replays, so the `f64`s match bit for bit; only the final
-/// sort happens here.
-fn market_share_indexed(
-    reader: &StoreReader<'_>,
-    epoch: usize,
-) -> Result<MarketShare, StoreError> {
-    let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
-    let mut rows: Vec<MarketShareRow> = Vec::new();
-    reader.for_each_rollup(epoch, |credit, weight| {
-        rows.push(MarketShareRow {
-            company: credit.to_string(),
-            weight,
-            share: weight / total.max(1) as f64,
-        });
-        Ok(())
-    })?;
-    rows.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.company.cmp(&b.company)));
-    Ok(MarketShare {
-        rows,
-        total_domains: total,
-    })
-}
-
 /// `(weight, share)` of each of `credits` at one stored epoch: the
 /// credit's [`market_share_at`] row, or `(0.0, 0.0)` when the epoch
-/// credits it nothing. On v2 files this is one scan of the rollup
-/// table, with no per-credit allocation and no sort. That is exact
-/// because rollup credits are unique strings: the writer folds a
-/// provider named like a company into the company credit. v1 files
-/// build the full table through [`market_share_merged`].
+/// credits it nothing. This is one scan of the rollup table, with no
+/// per-credit allocation and no sort. That is exact because rollup
+/// credits are unique strings: the writer folds a provider named like
+/// a company into the company credit.
 pub fn credit_shares_at(
     reader: &StoreReader<'_>,
     epoch: usize,
     credits: &[&str],
 ) -> Result<Vec<(f64, f64)>, StoreError> {
     let mut out = vec![(0.0, 0.0); credits.len()];
-    if reader.has_indexes() {
-        let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
-        reader.for_each_rollup(epoch, |credit, weight| {
-            for (c, slot) in credits.iter().zip(out.iter_mut()) {
-                if *c == credit {
-                    *slot = (weight, weight / total.max(1) as f64);
-                }
-            }
-            Ok(())
-        })?;
-    } else {
-        let shares = market_share_merged(reader, epoch)?;
+    let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
+    reader.for_each_rollup(epoch, |credit, weight| {
         for (c, slot) in credits.iter().zip(out.iter_mut()) {
-            if let Some(row) = shares.rows.iter().find(|r| r.company == *c) {
-                *slot = (row.weight, row.share);
+            if *c == credit {
+                *slot = (weight, weight / total.max(1) as f64);
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -231,31 +179,22 @@ pub fn credit_shares_at(
 /// the domain's registered domain and the domain answers SMTP). Equal
 /// to `market::self_hosted_count` over the source result.
 ///
-/// On v2 files this counts the digest's precomputed SMTP+self-hosted
-/// bits (the writer ran the PSL check at encode time with the builtin
-/// list, the same one every analysis path uses) and `psl` goes unused;
-/// v1 files fall back to [`self_hosted_merged`].
-pub fn self_hosted_at(
-    reader: &StoreReader<'_>,
-    epoch: usize,
-    psl: &PublicSuffixList,
-) -> Result<usize, StoreError> {
-    if reader.has_indexes() {
-        let mut count = 0usize;
-        for d in reader.digest_rows(epoch)? {
-            if d.has_smtp && d.self_hosted {
-                count += 1;
-            }
+/// This counts the digest's precomputed SMTP+self-hosted bits (the
+/// writer ran the PSL check at encode time with the builtin list, the
+/// same one every analysis path uses).
+pub fn self_hosted_at(reader: &StoreReader<'_>, epoch: usize) -> Result<usize, StoreError> {
+    let mut count = 0usize;
+    for d in reader.digest_rows(epoch)? {
+        if d.has_smtp && d.self_hosted {
+            count += 1;
         }
-        Ok(count)
-    } else {
-        self_hosted_merged(reader, epoch, psl)
     }
+    Ok(count)
 }
 
 /// [`self_hosted_at`] via the merge path: materialize each row's name
-/// and re-run the PSL registered-domain check. Works on any store
-/// version.
+/// and re-run the PSL registered-domain check. The reference oracle
+/// the digest path is checked against.
 pub fn self_hosted_merged(
     reader: &StoreReader<'_>,
     epoch: usize,
@@ -288,7 +227,6 @@ pub fn series_from_store(
     dataset: Dataset,
     tracked: &[&str],
 ) -> Result<LongitudinalSeries, StoreError> {
-    let psl = PublicSuffixList::builtin();
     let mut series: Vec<(String, Vec<SeriesPoint>)> = tracked
         .iter()
         .map(|c| (c.to_string(), Vec::new()))
@@ -315,7 +253,7 @@ pub fn series_from_store(
                 share: row.map(|r| r.share).unwrap_or(0.0),
             });
         }
-        let sh = self_hosted_at(reader, epoch, &psl)?;
+        let sh = self_hosted_at(reader, epoch)?;
         self_hosted.push(SeriesPoint {
             date: date.clone(),
             weight: sh as f64,
@@ -345,23 +283,10 @@ pub fn top100_at(
     epoch: usize,
 ) -> Result<HashSet<String>, StoreError> {
     let mut rows: Vec<(String, f64)> = Vec::new();
-    if reader.has_indexes() {
-        reader.for_each_rollup(epoch, |credit, weight| {
-            rows.push((credit.to_string(), weight));
-            Ok(())
-        })?;
-    } else {
-        let mut weights: HashMap<String, f64> = HashMap::new();
-        reader.for_each_row(epoch, |_name, row| {
-            for s in row.shares() {
-                *weights
-                    .entry(company_or_provider(&s).to_string())
-                    .or_insert(0.0) += s.weight;
-            }
-            Ok(())
-        })?;
-        rows.extend(weights); // re-sorted below, hash order never leaks
-    }
+    reader.for_each_rollup(epoch, |credit, weight| {
+        rows.push((credit.to_string(), weight));
+        Ok(())
+    })?;
     rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     Ok(rows
         .iter()
@@ -400,7 +325,7 @@ pub fn classify_row(
     }
 }
 
-/// Classify one v2 digest record into its Figure 7 category; `None`
+/// Classify one digest record into its Figure 7 category; `None`
 /// means the domain is absent at the epoch. Mirrors [`classify_row`]
 /// decision for decision: the digest's credit is `None` exactly for
 /// share-less rows, its self-hosted bit is the write-time PSL check,
@@ -434,19 +359,15 @@ fn classify_digest(row: Option<&DigestRow<'_>>, top100: &HashSet<String>) -> Chu
 /// assignment). Equal to `churn::churn_matrix` over the source
 /// results.
 ///
-/// On v2 files this is a lockstep walk over the two epochs' digest
-/// sections — no layer merge, no per-name point lookups, no name
-/// materialization (digests share the global dictionary's doc ids, so
-/// equal doc means equal domain). v1 files fall back to
-/// [`churn_from_store_merged`].
+/// This is a lockstep walk over the two epochs' digest sections — no
+/// layer merge, no per-name point lookups, no name materialization
+/// (digests share the global dictionary's doc ids, so equal doc means
+/// equal domain).
 pub fn churn_from_store(
     reader: &StoreReader<'_>,
     from: usize,
     to: usize,
 ) -> Result<ChurnMatrix, StoreError> {
-    if !reader.has_indexes() {
-        return churn_from_store_merged(reader, from, to);
-    }
     let top100 = top100_at(reader, from)?;
     let mut m = ChurnMatrix::default();
     let mut bi = reader.digest_rows(to)?;
@@ -465,8 +386,8 @@ pub fn churn_from_store(
 }
 
 /// [`churn_from_store`] via the merge path: walk `from`'s resolved
-/// rows and point-look-up each name at `to`. Works on any store
-/// version; the reference the digest path is gated against.
+/// rows and point-look-up each name at `to`. The reference oracle the
+/// digest path is checked against.
 pub fn churn_from_store_merged(
     reader: &StoreReader<'_>,
     from: usize,
@@ -487,25 +408,21 @@ pub fn churn_from_store_merged(
 }
 
 /// All domains holding a share of `provider` at one stored epoch, in
-/// ascending name order. On v2 files this decodes the provider's
-/// postings list straight off the index footer; v1 files fall back to
-/// [`domains_of_provider_merged`], a full-epoch scan. Both walk names
-/// in the same byte order, so the vectors are equal.
+/// ascending name order, decoded straight off the provider's postings
+/// list.
 pub fn domains_of_provider(
     reader: &StoreReader<'_>,
     provider: &str,
     epoch: usize,
 ) -> Result<Vec<String>, StoreError> {
-    if reader.has_indexes() {
-        reader.domains_of_provider(provider, epoch)
-    } else {
-        domains_of_provider_merged(reader, provider, epoch)
-    }
+    reader.domains_of_provider(provider, epoch)
 }
 
 /// [`domains_of_provider`] via the merge path: scan every resolved row
 /// of the epoch and keep the names whose share list mentions
-/// `provider`. Works on any store version.
+/// `provider`. The reference oracle the postings path is checked
+/// against; both walk names in the same byte order, so the vectors are
+/// equal.
 pub fn domains_of_provider_merged(
     reader: &StoreReader<'_>,
     provider: &str,
@@ -566,7 +483,7 @@ mod tests {
         let obs = data.dataset(Dataset::Alexa).unwrap();
         let result = pipeline.run(obs);
         assert_eq!(
-            self_hosted_at(&reader, 0, &psl).unwrap(),
+            self_hosted_at(&reader, 0).unwrap(),
             crate::market::self_hosted_count(&result, &psl)
         );
     }
@@ -603,81 +520,68 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_paths_agree() {
+    fn index_paths_match_merged_oracles() {
         let (study, pipeline, companies) = setup();
-        let v2 = study
+        let bytes = study
             .write_store(Dataset::Alexa, &pipeline, &companies)
             .unwrap();
-        let v1 = write_study_store_v1(&study, Dataset::Alexa, &pipeline, &companies).unwrap();
-        let r2 = StoreReader::open(&v2).unwrap();
-        let r1 = StoreReader::open(&v1).unwrap();
-        assert!(r2.has_indexes());
-        assert!(!r1.has_indexes());
-        r2.verify_indexes().unwrap();
+        let reader = StoreReader::open(&bytes).unwrap();
+        reader.verify_indexes().unwrap();
 
-        // Dispatch (index-backed on r2, merged on r1) and the explicit
-        // merge path all agree bit for bit.
+        // Every index-backed answer equals its merge-path oracle bit
+        // for bit.
         let psl = PublicSuffixList::builtin();
         for epoch in [0usize, 4, 8] {
-            let m2 = market_share_at(&r2, epoch).unwrap();
-            let m1 = market_share_at(&r1, epoch).unwrap();
-            let mm = market_share_merged(&r2, epoch).unwrap();
-            assert_eq!(m2.rows, m1.rows);
-            assert_eq!(m2.rows, mm.rows);
-            assert_eq!(m2.total_domains, mm.total_domains);
+            let mi = market_share_at(&reader, epoch).unwrap();
+            let mm = market_share_merged(&reader, epoch).unwrap();
+            assert_eq!(mi.rows, mm.rows);
+            assert_eq!(mi.total_domains, mm.total_domains);
             assert_eq!(
-                self_hosted_at(&r2, epoch, &psl).unwrap(),
-                self_hosted_merged(&r2, epoch, &psl).unwrap()
+                self_hosted_at(&reader, epoch).unwrap(),
+                self_hosted_merged(&reader, epoch, &psl).unwrap()
             );
-            assert_eq!(top100_at(&r2, epoch).unwrap(), top100_at(&r1, epoch).unwrap());
         }
-        let c2 = churn_from_store(&r2, 0, 8).unwrap();
-        let cm = churn_from_store_merged(&r2, 0, 8).unwrap();
-        assert_eq!(c2.total, cm.total);
-        assert_eq!(c2.flows, cm.flows);
+        let ci = churn_from_store(&reader, 0, 8).unwrap();
+        let cm = churn_from_store_merged(&reader, 0, 8).unwrap();
+        assert_eq!(ci.total, cm.total);
+        assert_eq!(ci.flows, cm.flows);
 
-        let provider = r2
+        let provider = reader
             .providers()
             .iter()
-            .find(|p| !r2.domains_of_provider(p, 8).unwrap().is_empty())
+            .find(|p| !reader.domains_of_provider(p, 8).unwrap().is_empty())
             .copied()
             .expect("some provider has postings at epoch 8");
-        let d2 = domains_of_provider(&r2, provider, 8).unwrap();
-        let dm = domains_of_provider_merged(&r2, provider, 8).unwrap();
-        let d1 = domains_of_provider(&r1, provider, 8).unwrap();
-        assert!(!d2.is_empty(), "postings list non-empty for {provider}");
-        assert_eq!(d2, dm);
-        assert_eq!(d2, d1);
+        let di = domains_of_provider(&reader, provider, 8).unwrap();
+        let dm = domains_of_provider_merged(&reader, provider, 8).unwrap();
+        assert!(!di.is_empty(), "postings list non-empty for {provider}");
+        assert_eq!(di, dm);
     }
 
     #[test]
     fn credit_shares_match_market_rows_bitwise() {
         let (study, pipeline, companies) = setup();
-        let v2 = study
+        let bytes = study
             .write_store(Dataset::Alexa, &pipeline, &companies)
             .unwrap();
-        let v1 = write_study_store_v1(&study, Dataset::Alexa, &pipeline, &companies).unwrap();
-        for bytes in [&v2, &v1] {
-            let reader = StoreReader::open(bytes).unwrap();
-            for epoch in 0..reader.epoch_count() {
-                let market = market_share_at(&reader, epoch).unwrap();
-                let mut credits: Vec<&str> =
-                    market.rows.iter().map(|r| r.company.as_str()).collect();
-                credits.push("no-such-credit");
-                let got = credit_shares_at(&reader, epoch, &credits).unwrap();
-                assert_eq!(got.len(), credits.len());
-                for (credit, (weight, share)) in credits.iter().zip(got) {
-                    let want = market
-                        .rows
-                        .iter()
-                        .find(|r| r.company == *credit)
-                        .map_or((0.0, 0.0), |r| (r.weight, r.share));
-                    assert_eq!(
-                        (weight.to_bits(), share.to_bits()),
-                        (want.0.to_bits(), want.1.to_bits()),
-                        "epoch {epoch} credit {credit}"
-                    );
-                }
+        let reader = StoreReader::open(&bytes).unwrap();
+        for epoch in 0..reader.epoch_count() {
+            let market = market_share_merged(&reader, epoch).unwrap();
+            let mut credits: Vec<&str> = market.rows.iter().map(|r| r.company.as_str()).collect();
+            credits.push("no-such-credit");
+            let got = credit_shares_at(&reader, epoch, &credits).unwrap();
+            assert_eq!(got.len(), credits.len());
+            for (credit, (weight, share)) in credits.iter().zip(got) {
+                let want = market
+                    .rows
+                    .iter()
+                    .find(|r| r.company == *credit)
+                    .map_or((0.0, 0.0), |r| (r.weight, r.share));
+                assert_eq!(
+                    (weight.to_bits(), share.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "epoch {epoch} credit {credit}"
+                );
             }
         }
     }

@@ -422,11 +422,11 @@ fn store_mode(store_out: Option<&str>) -> i32 {
     }
     let rows_per_sec = (names.len() * SCAN_ROUNDS) as f64 / (scan_ms / 1e3);
 
-    // --- mx-store/2 index-backed query classes vs the merge path. ---
-    // The `*_merged` calls replay what a v1 file forces (full delta-
-    // layer merges, per-name point lookups); the entry points answer
-    // from the index footer. Both must agree bit for bit before any
-    // timing is trusted.
+    // --- Index-backed query classes vs the merge path. ---
+    // The `*_merged` calls answer without the index footer (full
+    // delta-layer merges, per-name point lookups) and serve as the
+    // reference oracles; the entry points answer from the footer. Both
+    // must agree bit for bit before any timing is trusted.
     reader.verify_indexes().expect("index footer matches layers");
     let idx_market = market_share_at(&reader, last).expect("indexed market share");
     let mrg_market = market_share_merged(&reader, last).expect("merged market share");
@@ -590,19 +590,9 @@ fn store_mode(store_out: Option<&str>) -> i32 {
         "postings_domains_per_sec" => postings_domains_per_sec,
         "round_trip_verified" => true,
         "index_verified" => true,
-        "v1_baseline" => obj! {
-            // Committed numbers from the last mx-store/1 run of this
-            // benchmark, kept for trajectory (same scale, same host
-            // class; the file had no index footer, so merged == only).
-            "schema" => mx_store::SCHEMA_V1,
-            "file_bytes" => 44859u64,
-            "build_ms" => 760.482075,
-            "lookups_per_sec" => 1223773.8569933055,
-            "scan_rows_per_sec" => 6589555.143250751,
-        },
         "note" => "build = pipeline over 9 snapshots + delta encode + index footer; \
-                   merged timings replay the v1 full-epoch merge paths on the same \
-                   reader, indexed timings answer from the v2 footer (rollup/summary \
+                   merged timings walk the full-epoch merge paths on the same \
+                   reader, indexed timings answer from the index footer (rollup/summary \
                    for market share, per-row digest for churn, postings lists for \
                    reverse queries); all pairs asserted bit-equal before timing",
     };

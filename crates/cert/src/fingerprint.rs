@@ -27,6 +27,16 @@ pub fn fnv1a_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     h
 }
 
+/// Keyed FNV-1a: the big-endian `seed`, then each of `parts` followed
+/// by a NUL byte. The simulation's deterministic content-addressing
+/// primitive (world generation and incremental measurement key every
+/// coin and identity off it).
+pub fn h64(seed: u64, parts: &[&str]) -> u64 {
+    let seed = seed.to_be_bytes();
+    let parts = parts.iter().flat_map(|p| [p.as_bytes(), b"\0".as_slice()]);
+    fnv1a_chunks(std::iter::once(seed.as_slice()).chain(parts))
+}
+
 /// A 64-bit content fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
@@ -64,6 +74,14 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn h64_hashes_the_nul_terminated_key() {
+        let mut key = 7u64.to_be_bytes().to_vec();
+        key.extend_from_slice(b"dom\x0042\x00");
+        assert_eq!(h64(7, &["dom", "42"]), fnv1a(&key));
+        assert_eq!(h64(7, &[]), fnv1a(&7u64.to_be_bytes()));
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod validate;
 
 pub use ca::{CertificateAuthority, TrustStore};
 pub use cert::{Certificate, CertificateBuilder, KeyId, Signature};
-pub use fingerprint::{fnv1a, fnv1a_chunks, Fingerprint};
+pub use fingerprint::{fnv1a, fnv1a_chunks, h64, Fingerprint};
 pub use name_match::host_matches;
 pub use validate::{chain_trusted, validate_chain, ValidationError};

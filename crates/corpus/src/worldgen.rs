@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use mx_cert::{fnv1a, CertificateAuthority, KeyId, TrustStore};
+use mx_cert::{h64, CertificateAuthority, KeyId, TrustStore};
 use mx_dns::{Name, RData, SimClock, Timestamp, Zone};
 use mx_infer::ProviderId;
 use mx_net::{FaultPlan, FlakinessProfile, SimNet, SimNetBuilder};
@@ -180,17 +180,6 @@ impl Study {
     pub fn worlds_at(&self, snapshots: &[usize]) -> Vec<World> {
         mx_par::par_map(snapshots, |&k| self.world_at(k))
     }
-}
-
-/// Deterministic hash-uniform helper.
-fn h64(seed: u64, parts: &[&str]) -> u64 {
-    let mut key = Vec::new();
-    key.extend_from_slice(&seed.to_be_bytes());
-    for p in parts {
-        key.extend_from_slice(p.as_bytes());
-        key.push(0);
-    }
-    fnv1a(&key)
 }
 
 /// Internal world builder.

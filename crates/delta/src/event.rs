@@ -19,6 +19,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use mx_dns::Name;
+use mx_store::format::write_str;
+use mx_store::varint::{write_u64, MAX_VARINT_LEN};
 
 use crate::world::PROVIDERS;
 
@@ -206,26 +208,6 @@ impl From<mx_store::StoreError> for DeltaError {
 
 // ---------------------------------------------------------------- encode
 
-/// Maximum encoded length of a `u64` varint (10 × 7 bits ≥ 64 bits).
-const MAX_VARINT_LEN: usize = 10;
-
-fn write_varint(out: &mut Vec<u8>, v: u64) {
-    let mut rest = v;
-    for _i in 0..MAX_VARINT_LEN {
-        if rest < 0x80 {
-            out.push((rest & 0x7f) as u8);
-            return;
-        }
-        out.push(((rest & 0x7f) as u8) | 0x80);
-        rest >>= 7;
-    }
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encode a stream of event batches as an `mx-delta/1` log.
 pub fn encode_log(log: &[Vec<Event>]) -> Vec<u8> {
     // Interned name table, first-appearance order.
@@ -247,57 +229,57 @@ pub fn encode_log(log: &[Vec<Event>]) -> Vec<u8> {
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
     write_str(&mut out, SCHEMA);
-    write_varint(&mut out, names.len() as u64);
+    write_u64(&mut out, names.len() as u64);
     for n in &names {
         write_str(&mut out, n);
     }
-    write_varint(&mut out, log.len() as u64);
+    write_u64(&mut out, log.len() as u64);
     for batch in log {
-        write_varint(&mut out, batch.len() as u64);
+        write_u64(&mut out, batch.len() as u64);
         for ev in batch {
             let id = |d: &str| name_ix.get(d).copied().unwrap_or(0);
             match ev {
                 Event::MxSwap { domain } => {
                     out.push(TAG_MX_SWAP);
-                    write_varint(&mut out, id(domain));
+                    write_u64(&mut out, id(domain));
                 }
                 Event::MxPriorityChange { domain } => {
                     out.push(TAG_MX_PRIORITY);
-                    write_varint(&mut out, id(domain));
+                    write_u64(&mut out, id(domain));
                 }
                 Event::HostReIp { domain } => {
                     out.push(TAG_HOST_REIP);
-                    write_varint(&mut out, id(domain));
+                    write_u64(&mut out, id(domain));
                 }
                 Event::CertRotation { target } => {
                     out.push(TAG_CERT_ROTATION);
                     match target {
                         CertTarget::Domain(d) => {
                             out.push(TARGET_DOMAIN);
-                            write_varint(&mut out, id(d));
+                            write_u64(&mut out, id(d));
                         }
                         CertTarget::Provider(p) => {
                             out.push(TARGET_PROVIDER);
-                            write_varint(&mut out, u64::from(*p));
+                            write_u64(&mut out, u64::from(*p));
                         }
                     }
                 }
                 Event::ProviderMigration { domain, provider } => {
                     out.push(TAG_MIGRATION);
-                    write_varint(&mut out, id(domain));
-                    write_varint(&mut out, u64::from(*provider));
+                    write_u64(&mut out, id(domain));
+                    write_u64(&mut out, u64::from(*provider));
                 }
                 Event::ZoneDelete { domain } => {
                     out.push(TAG_ZONE_DELETE);
-                    write_varint(&mut out, id(domain));
+                    write_u64(&mut out, id(domain));
                 }
                 Event::DomainAdd { domain, spec } => {
                     out.push(TAG_DOMAIN_ADD);
-                    write_varint(&mut out, id(domain));
+                    write_u64(&mut out, id(domain));
                     match spec {
                         AddSpec::Provider(p) => {
                             out.push(ADD_PROVIDER);
-                            write_varint(&mut out, u64::from(*p));
+                            write_u64(&mut out, u64::from(*p));
                         }
                         AddSpec::SelfHosted => out.push(ADD_SELF_HOSTED),
                         AddSpec::NoMail => out.push(ADD_NO_MAIL),

@@ -8,8 +8,10 @@
 //! fine-grained measurement interval — a day or a week — so the same
 //! total churn arrives as many small deltas instead of one big diff.
 
+use mx_cert::h64;
+
 use crate::event::{AddSpec, CertTarget, Event};
-use crate::world::{added_domain_name, h64, Hosting, WorldState, PROVIDERS};
+use crate::world::{added_domain_name, Hosting, WorldState, PROVIDERS};
 
 /// Knobs for the event stream.
 #[derive(Debug, Clone, Copy)]

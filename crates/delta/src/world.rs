@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use mx_cert::{fnv1a, Certificate, CertificateAuthority, CertificateBuilder, KeyId, TrustStore};
+use mx_cert::{h64, Certificate, CertificateAuthority, CertificateBuilder, KeyId, TrustStore};
 use mx_dns::{Name, RData, SimClock, Timestamp, Zone};
 use mx_net::{FaultPlan, FlakinessProfile, SimNet};
 use mx_smtp::SmtpServerConfig;
@@ -76,17 +76,6 @@ const SELF_BASE: u32 = 0x6440_0000;
 /// observation caching sound.
 pub fn pinned_date() -> Timestamp {
     Timestamp::from_ymd(2021, 6, 1)
-}
-
-/// Keyed hash: the house content-addressing primitive.
-pub(crate) fn h64(seed: u64, parts: &[&str]) -> u64 {
-    let mut key = Vec::new();
-    key.extend_from_slice(&seed.to_be_bytes());
-    for p in parts {
-        key.extend_from_slice(p.as_bytes());
-        key.push(0);
-    }
-    fnv1a(&key)
 }
 
 /// How one domain hosts mail right now.

@@ -70,7 +70,6 @@ impl PublicSuffixList {
 
     /// The built-in snapshot (see [`crate::BUILTIN_RULES`]).
     pub fn builtin() -> Self {
-        // lint:allow(R8): parses the compile-time BUILTIN_RULES constant, not client bytes — a failure is a build defect caught by this crate's own tests
         Self::parse(crate::BUILTIN_RULES).expect("builtin PSL snapshot must parse")
     }
 

@@ -217,13 +217,14 @@ impl<'a> ServeState<'a> {
 
     /// `/healthz`: liveness plus store shape. Cheap by design — the
     /// server answers it from the serial loop even while saturated.
+    /// Every readable store carries the index footer, so `indexes` is
+    /// always `true`; the field stays for clients that read it.
     pub fn healthz(&self) -> Response {
         let body = format!(
-            "{{\"status\":\"ok\",\"epochs\":{},\"providers\":{},\"companies\":{},\"indexes\":{}}}",
+            "{{\"status\":\"ok\",\"epochs\":{},\"providers\":{},\"companies\":{},\"indexes\":true}}",
             self.reader.epoch_count(),
             self.reader.providers().len(),
             self.reader.companies().len(),
-            self.reader.has_indexes(),
         );
         Response::ok(body)
     }
@@ -667,7 +668,6 @@ fn parse_usize(s: &str) -> Option<usize> {
 fn store_error(e: &StoreError) -> Response {
     match e {
         StoreError::EpochOutOfRange { .. } => Response::error(404, "unknown epoch"),
-        StoreError::NoIndex => Response::error(500, "store missing index"),
         _ => Response::error(500, "store error"),
     }
 }

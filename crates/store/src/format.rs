@@ -18,13 +18,6 @@ pub const VERSION: u16 = 2;
 /// checked on open. Version bumps rename this string.
 pub const SCHEMA: &str = "mx-store/2";
 
-/// The previous format version, still readable (`StoreReader::open`
-/// dispatches on the header version; v1 files have no index footer).
-pub const VERSION_V1: u16 = 1;
-
-/// Schema string of the previous format version.
-pub const SCHEMA_V1: &str = "mx-store/1";
-
 /// Row-entry prefix compression restarts (a full name is written) every
 /// this many entries; restart rows anchor the reader's block index.
 /// Sized by measurement (see DESIGN §12): 16 keeps point-lookup block

@@ -1,4 +1,4 @@
-//! v2 index-footer decode: dictionary, summaries, rollups, postings
+//! Index-footer decode: dictionary, summaries, rollups, postings
 //! and digests.
 //!
 //! Everything here consumes untrusted file bytes through the

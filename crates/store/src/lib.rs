@@ -19,7 +19,7 @@
 //! panic; the decoder sits in mx-lint's untrusted/wire-codec scope
 //! (R1/R2/R3/R5/R7).
 //!
-//! Version 2 appends an index footer written by the same
+//! After the epochs comes an index footer written by the same
 //! byte-deterministic sorted walk: a global prefix-compressed domain
 //! dictionary, then per epoch a market-share summary (provider → row
 //! count + exact weight-bit sum), a credit rollup table (company or
@@ -27,10 +27,9 @@
 //! lists (LEB128 doc gaps over the sorted dictionary order) and a
 //! per-row digest (doc id, SMTP/self-hosted bits, dominant credit) —
 //! so market share, churn and "who uses provider X" are index hits
-//! instead of full-epoch merges. `mx-store/1` files still open; they
-//! report [`StoreReader::has_indexes`]` == false` and callers fall
-//! back to the merge path ([`StoreError::NoIndex`] on index-only
-//! APIs).
+//! instead of full-epoch merges. The reader accepts exactly
+//! [`VERSION`]; any other header version fails with
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! Writing is deterministic: rows are sorted by dotted name, tables
 //! are interned in first-appearance order of that sort, and weights
@@ -47,7 +46,7 @@ pub mod reader;
 pub mod varint;
 pub mod writer;
 
-pub use format::{SCHEMA, SCHEMA_V1, VERSION, VERSION_V1};
+pub use format::{SCHEMA, VERSION};
 pub use reader::{DigestIter, DigestRow, EpochKind, Row, Share, ShareIter, StoreReader};
 pub use writer::{RowIn, ShareIn, StoreWriter};
 
@@ -62,8 +61,7 @@ pub enum StoreError {
     BadMagic,
     /// The header version is not one this build can read.
     UnsupportedVersion(u16),
-    /// The schema string after the header does not match the header
-    /// version ([`SCHEMA`] for v2, [`SCHEMA_V1`] for v1).
+    /// The schema string after the header is not [`SCHEMA`].
     BadSchema,
     /// The buffer ended before a declared structure did.
     Truncated,
@@ -97,7 +95,7 @@ pub enum StoreError {
     SectionOverrun,
     /// Bytes remained after the last declared epoch.
     TrailingBytes,
-    /// A v2 index section violated a structural invariant (ordering,
+    /// An index section violated a structural invariant (ordering,
     /// cadence, empty postings, flag combinations) that open-time
     /// validation enforces.
     IndexCorrupt {
@@ -112,10 +110,6 @@ pub enum StoreError {
         /// Which section disagreed.
         what: &'static str,
     },
-    /// An index-backed query was made against a `mx-store/1` file,
-    /// which carries no index footer (callers should fall back to the
-    /// merge path; `StoreReader::has_indexes` tells which).
-    NoIndex,
     /// An epoch index past the stored epoch count was queried.
     EpochOutOfRange {
         /// The requested epoch.
@@ -153,7 +147,6 @@ impl std::fmt::Display for StoreError {
             StoreError::IndexMismatch { what } => {
                 write!(f, "index disagrees with epoch layers: {what}")
             }
-            StoreError::NoIndex => write!(f, "store file has no index footer (mx-store/1)"),
             StoreError::EpochOutOfRange { epoch, epochs } => {
                 write!(f, "epoch {epoch} out of range (store has {epochs})")
             }

@@ -15,13 +15,12 @@
 //! - **epoch diffs** walk the same merge once over both epochs'
 //!   layers and report the added/removed/changed rows between two
 //!   resolved epochs in ascending name order;
-//! - **index queries** (v2 files) answer market share, rollups,
-//!   "domains of provider X" and digest walks straight from the index
-//!   footer, without touching the epoch layers.
+//! - **index queries** answer market share, rollups, "domains of
+//!   provider X" and digest walks straight from the index footer,
+//!   without touching the epoch layers.
 //!
-//! `mx-store/1` files still open: they carry no index footer, report
-//! [`StoreReader::has_indexes`]` == false`, and index-only APIs return
-//! [`StoreError::NoIndex`] so callers fall back to the merge paths.
+//! Only the current [`VERSION`](crate::VERSION) opens; any other
+//! header version is [`StoreError::UnsupportedVersion`].
 //!
 //! Every decode path returns a typed [`StoreError`]; malformed input
 //! can never panic this module (it sits in mx-lint's untrusted +
@@ -37,10 +36,8 @@ use mx_dns::Name;
 
 use crate::format::{
     fault_from_code, Cur, CREDIT_COMPANY, CREDIT_PROVIDER, DIGEST_SELF_HOSTED, DIGEST_SMTP,
-    FAULT_CODE_MAX,
-    KIND_BASE, KIND_DELTA, MAGIC, RESTART_INTERVAL, SCHEMA, SCHEMA_V1, SIDE_BLOCKED,
-    SIDE_EXHAUSTED, SIDE_FLAGS_MASK, SIDE_RECOVERED, SOURCE_CODE_MAX, TAG_REMOVE, TAG_ROW,
-    TAG_ROW_SMTP, VERSION, VERSION_V1,
+    FAULT_CODE_MAX, KIND_BASE, KIND_DELTA, MAGIC, SCHEMA, SIDE_BLOCKED, SIDE_EXHAUSTED,
+    SIDE_FLAGS_MASK, SIDE_RECOVERED, SOURCE_CODE_MAX, TAG_REMOVE, TAG_ROW, TAG_ROW_SMTP, VERSION,
 };
 use crate::index;
 use crate::{ShareSource, StoreError};
@@ -89,9 +86,9 @@ pub struct StoreReader<'a> {
     /// Per provider: 0 = no company, else company index + 1.
     provider_company: Vec<u32>,
     epochs: Vec<EpochIx<'a>>,
-    /// The v2 global domain dictionary; `None` for v1 files.
-    dict: Option<index::DictIx<'a>>,
-    /// Per-epoch index blocks; empty for v1 files.
+    /// The global domain dictionary.
+    dict: index::DictIx<'a>,
+    /// Per-epoch index blocks, one per epoch.
     eix: Vec<index::EpochIndexIx<'a>>,
 }
 
@@ -209,8 +206,7 @@ enum LayerHit<'r> {
 }
 
 impl<'a> StoreReader<'a> {
-    /// Validate `buf` as a complete store file (`mx-store/2`, or the
-    /// index-less `mx-store/1`) and index it.
+    /// Validate `buf` as a complete `mx-store/2` file and index it.
     pub fn open(buf: &'a [u8]) -> Result<StoreReader<'a>, StoreError> {
         let _span = mx_obs::stage!(mx_obs::names::STAGE_STORE_READ).enter();
         mx_obs::counter_volatile!(mx_obs::names::STORE_READ_OPENS).incr();
@@ -221,26 +217,21 @@ impl<'a> StoreReader<'a> {
         let vraw = cur.bytes(2)?;
         let varr: [u8; 2] = vraw.try_into().map_err(|_bad| StoreError::Truncated)?;
         let version = u16::from_le_bytes(varr);
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
         let _flags = cur.bytes(2)?;
-        let expected_schema = if version == VERSION { SCHEMA } else { SCHEMA_V1 };
-        if cur.str()? != expected_schema {
+        if cur.str()? != SCHEMA {
             return Err(StoreError::BadSchema);
         }
-        // v2 declares its dictionary restart cadence in the header; v1
-        // has no index footer so the value is never used.
-        let interval = if version == VERSION {
-            let b = cur.u8()?;
-            if b == 0 {
+        // The header declares the dictionary restart cadence.
+        let interval = match cur.u8()? {
+            0 => {
                 return Err(StoreError::IndexCorrupt {
                     what: "restart interval",
-                });
+                })
             }
-            b as usize
-        } else {
-            RESTART_INTERVAL
+            b => b as usize,
         };
 
         let providers = read_table(&mut cur)?;
@@ -289,45 +280,39 @@ impl<'a> StoreReader<'a> {
             });
         }
 
-        // v2 index footer: the global dictionary, then one summary /
+        // Index footer: the global dictionary, then one summary /
         // rollup / postings / digest quartet per epoch.
-        let (dict, eix) = if version == VERSION {
-            let dict_len = cur.count()?;
-            let dict = index::DictIx::parse(cur.bytes(dict_len)?, interval)?;
-            let mut eix: Vec<index::EpochIndexIx<'a>> = Vec::new();
-            for _eidx in 0..epoch_count {
-                let len = cur.count()?;
-                let (total_rows, summary_count, summary) =
-                    index::parse_summary(cur.bytes(len)?, providers.len())?;
-                let len = cur.count()?;
-                let (rollup_count, rollup) =
-                    index::parse_rollup(cur.bytes(len)?, providers.len(), companies.len())?;
-                let len = cur.count()?;
-                let postings =
-                    index::parse_postings(cur.bytes(len)?, providers.len(), dict.count())?;
-                let len = cur.count()?;
-                let digest = index::parse_digest(
-                    cur.bytes(len)?,
-                    total_rows,
-                    providers.len(),
-                    companies.len(),
-                    dict.count(),
-                )?;
-                index::cross_check_summary_postings(summary, summary_count, &postings)?;
-                eix.push(index::EpochIndexIx {
-                    total_rows,
-                    summary,
-                    summary_count,
-                    rollup,
-                    rollup_count,
-                    postings,
-                    digest,
-                });
-            }
-            (Some(dict), eix)
-        } else {
-            (None, Vec::new())
-        };
+        let dict_len = cur.count()?;
+        let dict = index::DictIx::parse(cur.bytes(dict_len)?, interval)?;
+        let mut eix: Vec<index::EpochIndexIx<'a>> = Vec::new();
+        for _eidx in 0..epoch_count {
+            let len = cur.count()?;
+            let (total_rows, summary_count, summary) =
+                index::parse_summary(cur.bytes(len)?, providers.len())?;
+            let len = cur.count()?;
+            let (rollup_count, rollup) =
+                index::parse_rollup(cur.bytes(len)?, providers.len(), companies.len())?;
+            let len = cur.count()?;
+            let postings = index::parse_postings(cur.bytes(len)?, providers.len(), dict.count())?;
+            let len = cur.count()?;
+            let digest = index::parse_digest(
+                cur.bytes(len)?,
+                total_rows,
+                providers.len(),
+                companies.len(),
+                dict.count(),
+            )?;
+            index::cross_check_summary_postings(summary, summary_count, &postings)?;
+            eix.push(index::EpochIndexIx {
+                total_rows,
+                summary,
+                summary_count,
+                rollup,
+                rollup_count,
+                postings,
+                digest,
+            });
+        }
 
         if cur.remaining() != 0 {
             return Err(StoreError::TrailingBytes);
@@ -667,15 +652,12 @@ impl<'a> StoreReader<'a> {
         Ok(report)
     }
 
-    /// Does this file carry the v2 index footer? `false` for
-    /// `mx-store/1` files, whose queries must use the merge paths.
-    pub fn has_indexes(&self) -> bool {
-        self.dict.is_some()
-    }
-
-    fn index_of(&self, epoch: usize) -> Result<&index::EpochIndexIx<'a>, StoreError> {
-        self.epoch(epoch)?;
-        self.eix.get(epoch).ok_or(StoreError::NoIndex)
+    /// One epoch's decoded index block.
+    pub(crate) fn index_of(&self, epoch: usize) -> Result<&index::EpochIndexIx<'a>, StoreError> {
+        self.eix.get(epoch).ok_or(StoreError::EpochOutOfRange {
+            epoch,
+            epochs: self.epochs.len(),
+        })
     }
 
     /// The raw provider/company tables and the per-provider company
@@ -707,14 +689,9 @@ impl<'a> StoreReader<'a> {
         ))
     }
 
-    /// One epoch's decoded index block, if the file carries indexes.
-    pub(crate) fn raw_index(&self, epoch: usize) -> Option<&index::EpochIndexIx<'a>> {
-        self.eix.get(epoch)
-    }
-
-    /// Number of dictionary entries, when the v2 footer is present.
-    pub(crate) fn dict_count(&self) -> Option<usize> {
-        self.dict.as_ref().map(index::DictIx::count)
+    /// Number of dictionary entries.
+    pub(crate) fn dict_count(&self) -> usize {
+        self.dict.count()
     }
 
     fn credit_str(&self, kind: u8, id: u32) -> Option<&'a str> {
@@ -734,14 +711,14 @@ impl<'a> StoreReader<'a> {
     }
 
     /// Rows in the resolved view of `epoch`, from the summary section
-    /// (no layer merge). [`StoreError::NoIndex`] on v1 files.
+    /// (no layer merge).
     pub fn summary_total_rows(&self, epoch: usize) -> Result<u64, StoreError> {
         Ok(self.index_of(epoch)?.total_rows)
     }
 
     /// Iterate `epoch`'s market-share summary as
     /// `(provider, distinct-row count, exact weight sum)`, ascending by
-    /// provider id. [`StoreError::NoIndex`] on v1 files.
+    /// provider id.
     pub fn for_each_summary<F>(&self, epoch: usize, mut f: F) -> Result<(), StoreError>
     where
         F: FnMut(&'a str, u64, f64) -> Result<(), StoreError>,
@@ -763,7 +740,6 @@ impl<'a> StoreReader<'a> {
     /// where `credit` is the provider's company, or the provider itself
     /// when no company is mapped — the analysis layer's
     /// `company.unwrap_or(provider)` key, precomputed.
-    /// [`StoreError::NoIndex`] on v1 files.
     pub fn for_each_rollup<F>(&self, epoch: usize, mut f: F) -> Result<(), StoreError>
     where
         F: FnMut(&'a str, f64) -> Result<(), StoreError>,
@@ -786,8 +762,7 @@ impl<'a> StoreReader<'a> {
 
     /// Iterate the domains whose rows carry a share of `provider` in
     /// `epoch`, in ascending name order, straight off the postings
-    /// list. Unknown providers yield nothing. [`StoreError::NoIndex`]
-    /// on v1 files.
+    /// list. Unknown providers yield nothing.
     pub fn for_each_domain_of_provider<F>(
         &self,
         provider: &str,
@@ -798,7 +773,6 @@ impl<'a> StoreReader<'a> {
         F: FnMut(&str) -> Result<(), StoreError>,
     {
         let ix = self.index_of(epoch)?;
-        let dict = self.dict.as_ref().ok_or(StoreError::NoIndex)?;
         mx_obs::counter_volatile!(mx_obs::names::STORE_READ_POSTINGS_SCANS).incr();
         let Some(pix) = self.provider_index(provider) else {
             return Ok(());
@@ -808,7 +782,7 @@ impl<'a> StoreReader<'a> {
         };
         let mut buf: Vec<u8> = Vec::new();
         for doc in index::PostingDocs::new(posting) {
-            dict.name_into(doc, &mut buf)?;
+            self.dict.name_into(doc, &mut buf)?;
             let name = std::str::from_utf8(&buf).map_err(|_utf8| StoreError::BadUtf8)?;
             f(name)?;
         }
@@ -835,7 +809,6 @@ impl<'a> StoreReader<'a> {
     /// `gained == true` for domains holding a share of `provider` in
     /// `to` but not `from`, `false` for the reverse. Domains in both
     /// sets are skipped without materializing their names.
-    /// [`StoreError::NoIndex`] on v1 files.
     pub fn diff_domains_of_provider<F>(
         &self,
         provider: &str,
@@ -848,7 +821,6 @@ impl<'a> StoreReader<'a> {
     {
         let from_ix = self.index_of(from)?;
         let to_ix = self.index_of(to)?;
-        let dict = self.dict.as_ref().ok_or(StoreError::NoIndex)?;
         mx_obs::counter_volatile!(mx_obs::names::STORE_READ_POSTINGS_SCANS).incr();
         let Some(pix) = self.provider_index(provider) else {
             return Ok(());
@@ -860,7 +832,7 @@ impl<'a> StoreReader<'a> {
         let mut buf: Vec<u8> = Vec::new();
         let emit =
             |doc: usize, gained: bool, f: &mut F, buf: &mut Vec<u8>| -> Result<(), StoreError> {
-                dict.name_into(doc, buf)?;
+                self.dict.name_into(doc, buf)?;
                 let name = std::str::from_utf8(buf).map_err(|_utf8| StoreError::BadUtf8)?;
                 f(name, gained)
             };
@@ -896,8 +868,7 @@ impl<'a> StoreReader<'a> {
 
     /// Iterate `epoch`'s digest: one compact record per resolved row
     /// (doc id, SMTP/self-hosted bits, dominant credit), in ascending
-    /// name order — the churn fast path. [`StoreError::NoIndex`] on v1
-    /// files.
+    /// name order — the churn fast path.
     pub fn digest_rows(&self, epoch: usize) -> Result<DigestIter<'_>, StoreError> {
         let ix = self.index_of(epoch)?;
         mx_obs::counter_volatile!(mx_obs::names::STORE_READ_INDEX_QUERIES).incr();
@@ -908,24 +879,18 @@ impl<'a> StoreReader<'a> {
     }
 
     /// Materialize the dictionary name of `doc` into `buf` (cleared
-    /// first). [`StoreError::NoIndex`] on v1 files.
+    /// first).
     pub fn doc_name_into(&self, doc: usize, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        self.dict
-            .as_ref()
-            .ok_or(StoreError::NoIndex)?
-            .name_into(doc, buf)
+        self.dict.name_into(doc, buf)
     }
 
     /// Recompute every index section from the epoch layers (the merge
     /// path) and compare against the stored footer: any disagreement is
-    /// a typed [`StoreError::IndexMismatch`]. `Ok(())` on v1 files —
-    /// there is nothing to verify. The digest's self-hosted bit is
+    /// a typed [`StoreError::IndexMismatch`]. The digest's self-hosted bit is
     /// writer-supplied (PSL-backed) and not recomputable from the
     /// layers, so it is excluded from the comparison.
     pub fn verify_indexes(&self) -> Result<(), StoreError> {
-        let Some(dict) = self.dict.as_ref() else {
-            return Ok(());
-        };
+        let dict = &self.dict;
         let mut pix_of: HashMap<&str, u32> = HashMap::new();
         for (i, p) in self.providers.iter().enumerate() {
             pix_of.insert(p, u32::try_from(i).unwrap_or(u32::MAX));
@@ -1676,13 +1641,18 @@ mod tests {
             StoreReader::open(&bad_version).unwrap_err(),
             StoreError::UnsupportedVersion(9)
         );
+        // The retired `mx-store/1` version is rejected like any other.
+        bad_version[4] = 1;
+        assert_eq!(
+            StoreReader::open(&bad_version).unwrap_err(),
+            StoreError::UnsupportedVersion(1)
+        );
     }
 
     #[test]
     fn indexes_verify_against_layers() {
         let bytes = sample_store();
         let r = StoreReader::open(&bytes).unwrap();
-        assert!(r.has_indexes());
         r.verify_indexes().unwrap();
     }
 
@@ -1779,31 +1749,6 @@ mod tests {
                 ("delta.test".to_string(), true, Some("mx.google.com-co".to_string())),
             ]
         );
-    }
-
-    #[test]
-    fn v1_files_still_open_without_indexes() {
-        let mut w = StoreWriter::new();
-        let acq = AcquisitionReport::default();
-        w.add_epoch(
-            "2017-06",
-            vec![row("alpha.test", vec![share("mx.google.com", 1.0)])],
-            &acq,
-        )
-        .unwrap();
-        let bytes = w.finish_v1();
-        let r = StoreReader::open(&bytes).unwrap();
-        assert!(!r.has_indexes());
-        // Merge paths still work; index-only APIs refuse loudly.
-        assert_eq!(r.provider_of("alpha.test", 0).unwrap(), Some("mx.google.com"));
-        assert_eq!(r.summary_total_rows(0).unwrap_err(), StoreError::NoIndex);
-        assert_eq!(
-            r.domains_of_provider("mx.google.com", 0).unwrap_err(),
-            StoreError::NoIndex
-        );
-        assert!(r.digest_rows(0).is_err());
-        // Nothing to verify, but verification itself succeeds.
-        r.verify_indexes().unwrap();
     }
 
     #[test]

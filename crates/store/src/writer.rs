@@ -19,8 +19,8 @@ use mx_acq::AcquisitionReport;
 use crate::format::{
     fault_code, write_str, CREDIT_COMPANY, CREDIT_PROVIDER, DIGEST_CREDIT_PROVIDER,
     DIGEST_HAS_CREDIT, DIGEST_SELF_HOSTED, DIGEST_SMTP, KIND_BASE, KIND_DELTA, MAGIC,
-    RESTART_INTERVAL, SCHEMA, SCHEMA_V1, SIDE_BLOCKED, SIDE_EXHAUSTED, SIDE_RECOVERED, TAG_REMOVE,
-    TAG_ROW, TAG_ROW_SMTP, VERSION, VERSION_V1,
+    RESTART_INTERVAL, SCHEMA, SIDE_BLOCKED, SIDE_EXHAUSTED, SIDE_RECOVERED, TAG_REMOVE, TAG_ROW,
+    TAG_ROW_SMTP, VERSION,
 };
 use crate::varint::write_u64;
 use crate::{ShareSource, StoreError};
@@ -217,15 +217,9 @@ impl StoreWriter {
     /// exactly when no epoch is added, and appending the same rows a
     /// fresh full build would have written produces the same file that
     /// full build produces.
-    ///
-    /// `mx-store/1` files carry no index footer to extend; they fail
-    /// with [`StoreError::NoIndex`].
     pub fn reopen(reader: &crate::reader::StoreReader<'_>) -> Result<StoreWriter, StoreError> {
         use crate::reader::EpochKind;
 
-        if !reader.has_indexes() {
-            return Err(StoreError::NoIndex);
-        }
         let mut w = StoreWriter::new();
 
         let (providers, companies, provider_company) = reader.raw_tables();
@@ -244,9 +238,8 @@ impl StoreWriter {
         // Seed the dictionary in sorted (stored) order: provisional ids
         // equal old ranks, and `finish` re-sorts the final name set, so
         // the remap stays correct when appended epochs add names.
-        let dict_count = reader.dict_count().unwrap_or(0);
         let mut buf = Vec::new();
-        for doc in 0..dict_count {
+        for doc in 0..reader.dict_count() {
             reader.doc_name_into(doc, &mut buf)?;
             let name = std::str::from_utf8(&buf).map_err(|_bad| StoreError::BadUtf8)?;
             w.intern_doc(name);
@@ -274,7 +267,7 @@ impl StoreWriter {
                 sidecar,
             });
 
-            let ix = reader.raw_index(e).ok_or(StoreError::NoIndex)?;
+            let ix = reader.index_of(e)?;
             let mut enc = EpochIndexEnc {
                 total_rows: ix.total_rows,
                 ..EpochIndexEnc::default()
@@ -310,7 +303,7 @@ impl StoreWriter {
         // self-hosted bit the row encoding does not carry.
         if reader.epoch_count() > 0 {
             let last = reader.epoch_count() - 1;
-            let ix = reader.raw_index(last).ok_or(StoreError::NoIndex)?;
+            let ix = reader.index_of(last)?;
             let mut digest = crate::index::RawDigestIter::new(ix.digest, ix.total_rows);
             let mut prev: BTreeMap<String, CanonRow> = BTreeMap::new();
             let provider_ix = &w.provider_ix;
@@ -579,25 +572,7 @@ impl StoreWriter {
         out
     }
 
-    /// Assemble the same epochs as an `mx-store/1` file (no restart
-    /// interval byte, no index footer) — byte-identical to what the v1
-    /// writer produced. Kept for the read-compat fixture and tests;
-    /// production writes always use [`StoreWriter::finish`].
-    pub fn finish_v1(self) -> Vec<u8> {
-        let _span = mx_obs::stage!(mx_obs::names::STAGE_STORE_WRITE).enter();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-        write_str(&mut out, SCHEMA_V1);
-        self.write_tables_and_epochs(&mut out);
-        mx_obs::counter!(mx_obs::names::STORE_WRITE_EPOCHS).add(self.epochs.len() as u64);
-        mx_obs::counter!(mx_obs::names::STORE_WRITE_BYTES).add(out.len() as u64);
-        out
-    }
-
-    /// Interned tables and the epoch sections — identical bytes in both
-    /// format versions.
+    /// Interned tables and the epoch sections.
     fn write_tables_and_epochs(&self, out: &mut Vec<u8>) {
         write_u64(out, self.providers.len() as u64);
         for p in &self.providers {
@@ -626,7 +601,7 @@ impl StoreWriter {
         }
     }
 
-    /// The v2 index footer: global dictionary, then per epoch the
+    /// The index footer: global dictionary, then per epoch the
     /// summary, rollup, postings and digest sections (each length-
     /// framed). Provisional doc ids are remapped to sorted-dictionary
     /// ranks here; because every accumulation walk was name-sorted,
@@ -871,14 +846,5 @@ mod tests {
         )
         .expect("append");
         assert_eq!(full, appended, "append diverges from the full build");
-    }
-
-    #[test]
-    fn append_refuses_v1_files() {
-        let mut w = StoreWriter::new();
-        w.add_epoch("e0", epoch_rows(0), &epoch_acq(0)).expect("add epoch");
-        let v1 = w.finish_v1();
-        let err = StoreWriter::append_epochs(&v1, Vec::new());
-        assert_eq!(err.unwrap_err(), StoreError::NoIndex);
     }
 }

@@ -78,9 +78,6 @@ rm -f /tmp/mx_obs_a.json /tmp/mx_obs_b.json
 echo "==> store gate (tests/store_gate.rs)"
 cargo test --release --test store_gate -q
 
-echo "==> store v1 read-compat (committed mx-store/1 fixture vs current reader)"
-cargo test --release --test store_v1_compat -q
-
 echo "==> store determinism (two --store runs must write byte-identical mx-store/2 files)"
 cargo run --quiet --release -p mx-bench --bin bench_pipeline -- --store --store-out /tmp/mx_store_a.bin
 cargo run --quiet --release -p mx-bench --bin bench_pipeline -- --store --store-out /tmp/mx_store_b.bin

@@ -152,24 +152,31 @@ fn multibyte_reply_lines_do_not_panic() {
 // mx-store: the snapshot store decoder is held to the same contract as
 // the wire parsers — corrupted files yield typed `StoreError`s, never a
 // panic and never a silently-wrong `Ok`. The cases below hand-assemble
-// store bytes field by field so each corruption targets one invariant.
+// store bytes field by field so each corruption targets one invariant:
+// the header, the interned tables and epoch layers, and the index
+// footer (dictionary, summary, rollup, postings, digest), which is
+// decoded from the same untrusted bytes.
 
 mod store_bytes {
-    use mx_store::format::{write_str, MAGIC};
+    use mx_store::format::{write_str, MAGIC, SCHEMA};
     use mx_store::varint::write_u64;
 
-    /// Knobs for one hand-assembled single-epoch store file. Builds the
-    /// `mx-store/1` layout (no restart-interval byte, no index footer);
-    /// the v2-specific sections get their own builder below.
+    /// Knobs for one hand-assembled single-epoch store file. The
+    /// default is valid; every corruption case differs from it in one
+    /// field. Footer sections hold their content only: the length frame
+    /// always reflects the actual bytes, so corruption targets the
+    /// decoder, not the framing.
     pub struct Spec {
         pub magic: [u8; 4],
         pub version: u16,
         pub schema: &'static str,
+        /// Restart-interval header byte.
+        pub interval: u8,
         /// Company link of the single provider (0 = none; 2 points past
         /// the empty company table).
         pub provider_company: u64,
-        /// Interned provider index inside the single share (only 0 is
-        /// valid: the table has one entry).
+        /// Interned provider index inside each share (only 0 is valid:
+        /// the table has one entry).
         pub share_provider: u64,
         pub share_source: u8,
         /// Row entries: (prefix_len, suffix, tag).
@@ -178,7 +185,12 @@ mod store_bytes {
         pub entry_count_bytes: Option<Vec<u8>>,
         /// Sidecar body (defaults to zero IPs, zero domains).
         pub sidecar: Vec<u8>,
-        /// Junk appended after the last epoch.
+        pub dict: Vec<u8>,
+        pub summary: Vec<u8>,
+        pub rollup: Vec<u8>,
+        pub postings: Vec<u8>,
+        pub digest: Vec<u8>,
+        /// Junk appended after the footer.
         pub trailing: Vec<u8>,
     }
 
@@ -186,12 +198,13 @@ mod store_bytes {
         fn default() -> Self {
             Spec {
                 magic: *MAGIC,
-                version: mx_store::VERSION_V1,
-                schema: mx_store::SCHEMA_V1,
+                version: mx_store::VERSION,
+                schema: SCHEMA,
+                interval: 16,
                 provider_company: 0,
                 share_provider: 0,
                 share_source: 0,
-                entries: vec![(0, "a.test", 1)],
+                entries: vec![(0, "a.test", 1), (0, "b.test", 1)],
                 entry_count_bytes: None,
                 sidecar: {
                     let mut s = Vec::new();
@@ -199,20 +212,86 @@ mod store_bytes {
                     write_u64(&mut s, 0); // DNS records
                     s
                 },
+                dict: dict_section(),
+                summary: summary_section(2, 2.0),
+                rollup: rollup_section(),
+                postings: postings_section(),
+                digest: digest_section(),
                 trailing: Vec::new(),
             }
         }
     }
 
+    fn bits(w: f64) -> [u8; 8] {
+        w.to_bits().to_le_bytes()
+    }
+
+    /// Valid dictionary: the two row names in byte order.
+    pub fn dict_section() -> Vec<u8> {
+        let mut s = Vec::new();
+        write_u64(&mut s, 2);
+        for name in ["a.test", "b.test"] {
+            write_u64(&mut s, 0); // no shared prefix
+            write_u64(&mut s, name.len() as u64);
+            s.extend_from_slice(name.as_bytes());
+        }
+        s
+    }
+
+    /// Valid summary: 2 rows total, provider 0 on both with weight 2.0.
+    pub fn summary_section(rows: u64, weight: f64) -> Vec<u8> {
+        let mut s = Vec::new();
+        write_u64(&mut s, 2); // total rows in the resolved view
+        write_u64(&mut s, 1); // one provider entry
+        write_u64(&mut s, 0); // pid
+        write_u64(&mut s, rows);
+        s.extend_from_slice(&bits(weight));
+        s
+    }
+
+    /// Valid rollup: one long-tail provider credit worth 2.0.
+    pub fn rollup_section() -> Vec<u8> {
+        let mut s = Vec::new();
+        write_u64(&mut s, 1);
+        s.push(1); // kind: provider credit
+        write_u64(&mut s, 0); // provider 0
+        s.extend_from_slice(&bits(2.0));
+        s
+    }
+
+    /// Valid postings: provider 0 → docs {0, 1} (gap-encoded).
+    pub fn postings_section() -> Vec<u8> {
+        let mut s = Vec::new();
+        write_u64(&mut s, 1); // one provider
+        write_u64(&mut s, 0); // pid
+        write_u64(&mut s, 2); // doc count
+        write_u64(&mut s, 0); // first doc
+        write_u64(&mut s, 1); // gap to doc 1
+        s
+    }
+
+    /// Valid digest: both rows SMTP-positive, credited to provider 0.
+    pub fn digest_section() -> Vec<u8> {
+        let mut s = Vec::new();
+        for (gap, flags, credit) in [(0u64, 13u8, 0u64), (1, 13, 0)] {
+            write_u64(&mut s, gap);
+            s.push(flags); // SMTP | HAS_CREDIT | CREDIT_PROVIDER
+            write_u64(&mut s, credit);
+        }
+        s
+    }
+
     /// Assemble the bytes: header, one provider (`p.test`), no
-    /// companies, one base epoch of `spec.entries` rows (one share
-    /// each), the given sidecar, then any trailing junk.
+    /// companies, one base epoch of `spec.entries` rows (one weight-1.0
+    /// share each), the given sidecar, the dictionary and the epoch's
+    /// four index sections, then any trailing junk.
     pub fn build(spec: Spec) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&spec.magic);
         out.extend_from_slice(&spec.version.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
         write_str(&mut out, spec.schema);
+        out.push(spec.interval);
 
         write_u64(&mut out, 1); // provider table
         write_str(&mut out, "p.test");
@@ -236,15 +315,22 @@ mod store_bytes {
             if *tag != 2 {
                 write_u64(&mut rows, 1); // one share
                 write_u64(&mut rows, spec.share_provider);
-                rows.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+                rows.extend_from_slice(&bits(1.0));
                 rows.push(spec.share_source);
             }
         }
-        write_u64(&mut out, rows.len() as u64);
-        out.extend_from_slice(&rows);
-
-        write_u64(&mut out, spec.sidecar.len() as u64);
-        out.extend_from_slice(&spec.sidecar);
+        for section in [
+            &rows,
+            &spec.sidecar,
+            &spec.dict,
+            &spec.summary,
+            &spec.rollup,
+            &spec.postings,
+            &spec.digest,
+        ] {
+            write_u64(&mut out, section.len() as u64);
+            out.extend_from_slice(section);
+        }
         out.extend_from_slice(&spec.trailing);
         out
     }
@@ -254,7 +340,8 @@ use mx_store::{StoreError, StoreReader};
 use store_bytes::{build, Spec};
 
 /// The hand-assembled baseline is valid — every corruption case below
-/// differs from it in exactly one field.
+/// differs from it in exactly one field — and its epoch layers answer
+/// point lookups.
 #[test]
 fn hand_assembled_store_opens() {
     let bytes = build(Spec::default());
@@ -265,8 +352,22 @@ fn hand_assembled_store_opens() {
     assert_eq!(row.shares().next().unwrap().provider, "p.test");
 }
 
-/// Bad magic, unknown version and a wrong schema string each produce
-/// their own typed error, not a generic failure.
+/// The baseline's index footer agrees with its epoch layers under full
+/// recomputation and answers the reverse query.
+#[test]
+fn hand_assembled_v2_store_opens_and_verifies() {
+    let bytes = build(Spec::default());
+    let reader = StoreReader::open(&bytes).expect("baseline opens");
+    reader.verify_indexes().expect("footer matches layers");
+    assert_eq!(
+        reader.domains_of_provider("p.test", 0).unwrap(),
+        ["a.test", "b.test"]
+    );
+}
+
+/// Bad magic, unknown versions (including the retired version 1) and a
+/// wrong schema string each produce their own typed error, not a
+/// generic failure.
 #[test]
 fn store_header_corruption_is_typed() {
     let bad_magic = build(Spec {
@@ -275,14 +376,16 @@ fn store_header_corruption_is_typed() {
     });
     assert_eq!(StoreReader::open(&bad_magic).unwrap_err(), StoreError::BadMagic);
 
-    let bad_version = build(Spec {
-        version: 9,
-        ..Spec::default()
-    });
-    assert_eq!(
-        StoreReader::open(&bad_version).unwrap_err(),
-        StoreError::UnsupportedVersion(9)
-    );
+    for version in [1u16, 9] {
+        let bad_version = build(Spec {
+            version,
+            ..Spec::default()
+        });
+        assert_eq!(
+            StoreReader::open(&bad_version).unwrap_err(),
+            StoreError::UnsupportedVersion(version)
+        );
+    }
 
     let bad_schema = build(Spec {
         schema: "mx-store/999",
@@ -427,179 +530,42 @@ fn store_sidecar_corruption_rejected() {
     );
 }
 
-/// Every proper prefix of the hand-assembled store errors cleanly —
-/// the same contract `truncated_messages_error_cleanly` pins for DNS.
+/// Every proper prefix of a hand-assembled store whose sidecar holds
+/// one IP and one DNS record errors cleanly, so cuts land inside every
+/// sidecar field too — the same contract
+/// `truncated_messages_error_cleanly` pins for DNS.
 #[test]
 fn truncated_stores_error_cleanly() {
-    let bytes = build(Spec::default());
+    let mut sidecar = Vec::new();
+    mx_store::varint::write_u64(&mut sidecar, 1); // one IP record
+    sidecar.extend_from_slice(&[10, 0, 0, 1]); // 10.0.0.1
+    mx_store::varint::write_u64(&mut sidecar, 2); // attempts
+    sidecar.push(1); // flags: recovered
+    sidecar.push(0); // fault: none
+    mx_store::varint::write_u64(&mut sidecar, 1); // one DNS record
+    mx_store::format::write_str(&mut sidecar, "a.test");
+    mx_store::varint::write_u64(&mut sidecar, 1); // retries
+    sidecar.push(0); // not exhausted
+    let bytes = build(Spec {
+        sidecar,
+        ..Spec::default()
+    });
     for cut in 0..bytes.len() {
         let r = StoreReader::open(&bytes[..cut]);
         assert!(r.is_err(), "prefix of {cut} bytes opened: {r:?}");
     }
-    assert!(StoreReader::open(&bytes).is_ok());
-}
-
-// ---------------------------------------------------------------------
-// mx-store/2: the index footer (dictionary, summary, rollup, postings,
-// digest) is decoded from the same untrusted bytes as the epoch layers
-// and held to the same contract. The builder assembles a two-row v2
-// file section by section so each test can swap exactly one section
-// for a corrupted variant.
-
-mod store_bytes_v2 {
-    use mx_store::format::{write_str, MAGIC, SCHEMA};
-    use mx_store::varint::write_u64;
-
-    /// Per-section overrides for one hand-assembled v2 store file:
-    /// `None` keeps the valid default, `Some(bytes)` swaps the
-    /// section's content (the length frame always reflects the actual
-    /// bytes, so corruption targets the decoder, not the framing).
-    #[derive(Default)]
-    pub struct SpecV2 {
-        /// Restart-interval header byte override (default 16).
-        pub interval: Option<u8>,
-        pub dict: Option<Vec<u8>>,
-        pub summary: Option<Vec<u8>>,
-        pub rollup: Option<Vec<u8>>,
-        pub postings: Option<Vec<u8>>,
-        pub digest: Option<Vec<u8>>,
-    }
-
-    fn bits(w: f64) -> [u8; 8] {
-        w.to_bits().to_le_bytes()
-    }
-
-    /// Valid dictionary: the two row names in byte order.
-    pub fn dict_section() -> Vec<u8> {
-        let mut s = Vec::new();
-        write_u64(&mut s, 2);
-        for name in ["a.test", "b.test"] {
-            write_u64(&mut s, 0); // no shared prefix
-            write_u64(&mut s, name.len() as u64);
-            s.extend_from_slice(name.as_bytes());
-        }
-        s
-    }
-
-    /// Valid summary: 2 rows total, provider 0 on both with weight 2.0.
-    pub fn summary_section(rows: u64, weight: f64) -> Vec<u8> {
-        let mut s = Vec::new();
-        write_u64(&mut s, 2); // total rows in the resolved view
-        write_u64(&mut s, 1); // one provider entry
-        write_u64(&mut s, 0); // pid
-        write_u64(&mut s, rows);
-        s.extend_from_slice(&bits(weight));
-        s
-    }
-
-    /// Valid rollup: one long-tail provider credit worth 2.0.
-    pub fn rollup_section() -> Vec<u8> {
-        let mut s = Vec::new();
-        write_u64(&mut s, 1);
-        s.push(1); // kind: provider credit
-        write_u64(&mut s, 0); // provider 0
-        s.extend_from_slice(&bits(2.0));
-        s
-    }
-
-    /// Valid postings: provider 0 → docs {0, 1} (gap-encoded).
-    pub fn postings_section() -> Vec<u8> {
-        let mut s = Vec::new();
-        write_u64(&mut s, 1); // one provider
-        write_u64(&mut s, 0); // pid
-        write_u64(&mut s, 2); // doc count
-        write_u64(&mut s, 0); // first doc
-        write_u64(&mut s, 1); // gap to doc 1
-        s
-    }
-
-    /// Valid digest: both rows SMTP-positive, credited to provider 0.
-    pub fn digest_section() -> Vec<u8> {
-        let mut s = Vec::new();
-        for (gap, flags, credit) in [(0u64, 13u8, 0u64), (1, 13, 0)] {
-            write_u64(&mut s, gap);
-            s.push(flags); // SMTP | HAS_CREDIT | CREDIT_PROVIDER
-            write_u64(&mut s, credit);
-        }
-        s
-    }
-
-    /// Assemble the v2 bytes: header, one provider (`p.test`), one base
-    /// epoch with rows `a.test`/`b.test` (one weight-1.0 share each),
-    /// then the dictionary and the epoch's four index sections.
-    pub fn build_v2(spec: SpecV2) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&mx_store::VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        write_str(&mut out, SCHEMA);
-        out.push(spec.interval.unwrap_or(16));
-
-        write_u64(&mut out, 1); // provider table
-        write_str(&mut out, "p.test");
-        write_u64(&mut out, 0); // company table
-        write_u64(&mut out, 0); // p.test → no company
-
-        write_u64(&mut out, 1); // epoch count
-        write_str(&mut out, "2021-06");
-        out.push(0); // kind: base
-        let mut rows = Vec::new();
-        write_u64(&mut rows, 2);
-        for name in ["a.test", "b.test"] {
-            write_u64(&mut rows, 0); // prefix
-            write_u64(&mut rows, name.len() as u64);
-            rows.extend_from_slice(name.as_bytes());
-            rows.push(1); // tag: row with SMTP
-            write_u64(&mut rows, 1); // one share
-            write_u64(&mut rows, 0); // provider 0
-            rows.extend_from_slice(&bits(1.0));
-            rows.push(0); // source: certificate
-        }
-        write_u64(&mut out, rows.len() as u64);
-        out.extend_from_slice(&rows);
-        let mut side = Vec::new();
-        write_u64(&mut side, 0); // IP records
-        write_u64(&mut side, 0); // DNS records
-        write_u64(&mut out, side.len() as u64);
-        out.extend_from_slice(&side);
-
-        for section in [
-            spec.dict.unwrap_or_else(dict_section),
-            spec.summary.unwrap_or_else(|| summary_section(2, 2.0)),
-            spec.rollup.unwrap_or_else(rollup_section),
-            spec.postings.unwrap_or_else(postings_section),
-            spec.digest.unwrap_or_else(digest_section),
-        ] {
-            write_u64(&mut out, section.len() as u64);
-            out.extend_from_slice(&section);
-        }
-        out
-    }
-}
-
-use store_bytes_v2::{build_v2, SpecV2};
-
-/// The hand-assembled v2 baseline opens, carries indexes, and its
-/// footer agrees with the epoch layers under full recomputation.
-#[test]
-fn hand_assembled_v2_store_opens_and_verifies() {
-    let bytes = build_v2(SpecV2::default());
-    let reader = StoreReader::open(&bytes).expect("v2 baseline opens");
-    assert!(reader.has_indexes());
-    reader.verify_indexes().expect("footer matches layers");
-    assert_eq!(
-        reader.domains_of_provider("p.test", 0).unwrap(),
-        ["a.test", "b.test"]
-    );
+    let reader = StoreReader::open(&bytes).expect("populated sidecar opens");
+    let acq = reader.acquisition_report(0).expect("sidecar decodes");
+    assert_eq!((acq.ips.len(), acq.domains.len()), (1, 1));
 }
 
 /// A zeroed restart-interval byte is rejected before any section is
 /// decoded (it would make every dictionary access divide by zero).
 #[test]
 fn v2_zero_restart_interval_rejected() {
-    let bytes = build_v2(SpecV2 {
-        interval: Some(0),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        interval: 0,
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -613,11 +579,11 @@ fn v2_zero_restart_interval_rejected() {
 /// though the section frame itself is honest about the byte count.
 #[test]
 fn v2_truncated_postings_block_rejected() {
-    let mut postings = store_bytes_v2::postings_section();
+    let mut postings = store_bytes::postings_section();
     postings.pop(); // lose the final gap varint
-    let bytes = build_v2(SpecV2 {
-        postings: Some(postings),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        postings,
+        ..Spec::default()
     });
     assert_eq!(StoreReader::open(&bytes).unwrap_err(), StoreError::Truncated);
 }
@@ -631,9 +597,9 @@ fn v2_doc_gap_varint_overrun_rejected() {
     mx_store::varint::write_u64(&mut postings, 0); // pid
     mx_store::varint::write_u64(&mut postings, 1); // doc count
     postings.extend_from_slice(&[0x80; 11]); // unterminated varint
-    let bytes = build_v2(SpecV2 {
-        postings: Some(postings),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        postings,
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -650,9 +616,9 @@ fn v2_out_of_range_postings_ids_rejected() {
     mx_store::varint::write_u64(&mut postings, 0); // pid
     mx_store::varint::write_u64(&mut postings, 1); // doc count
     mx_store::varint::write_u64(&mut postings, 9); // doc 9: dict has 2
-    let bytes = build_v2(SpecV2 {
-        postings: Some(postings.clone()),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        postings: postings.clone(),
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -665,9 +631,9 @@ fn v2_out_of_range_postings_ids_rejected() {
     mx_store::varint::write_u64(&mut postings, 2);
     mx_store::varint::write_u64(&mut postings, 0);
     mx_store::varint::write_u64(&mut postings, 1);
-    let bytes = build_v2(SpecV2 {
-        postings: Some(postings),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        postings,
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -682,9 +648,9 @@ fn v2_out_of_range_postings_ids_rejected() {
 fn v2_summary_disagreements_detected() {
     // Weight lies (3.0, layers sum to 2.0): structurally fine, so open
     // succeeds — verify_indexes recomputes and catches it.
-    let bytes = build_v2(SpecV2 {
-        summary: Some(store_bytes_v2::summary_section(2, 3.0)),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        summary: store_bytes::summary_section(2, 3.0),
+        ..Spec::default()
     });
     let reader = StoreReader::open(&bytes).expect("structurally valid");
     assert_eq!(
@@ -696,9 +662,9 @@ fn v2_summary_disagreements_detected() {
 
     // Row count lies (1, postings say 2): the open-time cross-check
     // between summary and postings refuses the file outright.
-    let bytes = build_v2(SpecV2 {
-        summary: Some(store_bytes_v2::summary_section(1, 2.0)),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        summary: store_bytes::summary_section(1, 2.0),
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -719,9 +685,9 @@ fn v2_unsorted_rollup_rejected() {
         mx_store::varint::write_u64(&mut rollup, 0); // provider 0, twice
         rollup.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
     }
-    let bytes = build_v2(SpecV2 {
-        rollup: Some(rollup),
-        ..SpecV2::default()
+    let bytes = build(Spec {
+        rollup,
+        ..Spec::default()
     });
     assert_eq!(
         StoreReader::open(&bytes).unwrap_err(),
@@ -731,11 +697,12 @@ fn v2_unsorted_rollup_rejected() {
     );
 }
 
-/// Every proper prefix of a v2 file — header, layers, dictionary and
-/// all four index sections — errors cleanly, never opens.
+/// Every proper prefix of the default store — header, layers,
+/// dictionary and all four index sections — errors cleanly, never
+/// opens.
 #[test]
 fn v2_truncated_stores_error_cleanly() {
-    let bytes = build_v2(SpecV2::default());
+    let bytes = build(Spec::default());
     for cut in 0..bytes.len() {
         let r = StoreReader::open(&bytes[..cut]);
         assert!(r.is_err(), "prefix of {cut} bytes opened: {r:?}");

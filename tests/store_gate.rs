@@ -20,7 +20,7 @@ use mx_analysis::observe::observe_world;
 use mx_analysis::store::{
     churn_from_store, churn_from_store_merged, credit_shares_at, domains_of_provider,
     domains_of_provider_merged, market_share_at, market_share_merged, self_hosted_at,
-    self_hosted_merged, series_from_store, write_study_store_v1, StudyStoreExt,
+    self_hosted_merged, series_from_store, StudyStoreExt,
 };
 use mx_corpus::{company_map, provider_knowledge, Dataset, ScenarioConfig, Study};
 use mx_infer::{assignment_from_row, CompanyMap, Pipeline};
@@ -164,12 +164,11 @@ fn assert_round_trip(seed: u64) {
         "seed {seed}: dns sidecar"
     );
 
-    // v2 index gate: the footer exists, survives full recomputation
-    // against the epoch layers, and every index-backed query equals the
-    // merge-path reference bit for bit. (`market_share_at` and
-    // `churn_from_store` above already went through the index; here the
-    // two implementations face each other directly.)
-    assert!(reader.has_indexes(), "seed {seed}: v2 file has indexes");
+    // Index gate: the footer survives full recomputation against the
+    // epoch layers, and every index-backed query equals the merge-path
+    // reference bit for bit. (`market_share_at` and `churn_from_store`
+    // above already went through the index; here the two
+    // implementations face each other directly.)
     reader.verify_indexes().expect("index footer matches layers");
     let psl = PublicSuffixList::builtin();
     for k in [0usize, last / 2, last] {
@@ -178,7 +177,7 @@ fn assert_round_trip(seed: u64) {
         assert_eq!(indexed.total_domains, merged.total_domains, "seed {seed} epoch {k}");
         assert_eq!(indexed.rows, merged.rows, "seed {seed} epoch {k}: index vs merge");
         assert_eq!(
-            self_hosted_at(&reader, k, &psl).expect("indexed self-hosted"),
+            self_hosted_at(&reader, k).expect("indexed self-hosted"),
             self_hosted_merged(&reader, k, &psl).expect("merged self-hosted"),
             "seed {seed} epoch {k}: self-hosted count"
         );
@@ -207,52 +206,6 @@ fn assert_round_trip(seed: u64) {
 fn round_trip_equals_in_memory_across_seeds() {
     for &seed in SEEDS {
         assert_round_trip(seed);
-    }
-}
-
-/// v1 read-compat: the same study serialized as `mx-store/1` opens
-/// with the v2 reader, reports no indexes, and every analysis answers
-/// through the merge fallback with results equal to the v2 file's
-/// index-backed answers — bit for bit.
-#[test]
-fn v1_files_answer_identically_through_merge_fallback() {
-    let study = Study::generate(ScenarioConfig::small(1));
-    let pipeline = pipeline();
-    let companies = company_map();
-    let v2 = study
-        .write_store(Dataset::Alexa, &pipeline, &companies)
-        .expect("v2 store");
-    let v1 = write_study_store_v1(&study, Dataset::Alexa, &pipeline, &companies)
-        .expect("v1 store");
-    assert!(v1.len() < v2.len(), "v1 carries no footer");
-
-    let r2 = StoreReader::open(&v2).expect("v2 opens");
-    let r1 = StoreReader::open(&v1).expect("v1 opens with v2 reader");
-    assert!(!r1.has_indexes());
-    r1.verify_indexes().expect("nothing to verify on v1 is Ok");
-    assert!(matches!(
-        r1.domains_of_provider("whatever", 0),
-        Err(mx_store::StoreError::NoIndex)
-    ));
-
-    let last = r2.epoch_count() - 1;
-    assert_eq!(r1.epoch_count(), r2.epoch_count());
-    for k in [0usize, last] {
-        let m1 = market_share_at(&r1, k).expect("merge fallback");
-        let m2 = market_share_at(&r2, k).expect("index path");
-        assert_eq!(m1.rows, m2.rows, "epoch {k}: v1 merge vs v2 index");
-        assert_eq!(m1.total_domains, m2.total_domains);
-    }
-    let c1 = churn_from_store(&r1, 0, last).expect("merge churn");
-    let c2 = churn_from_store(&r2, 0, last).expect("digest churn");
-    assert_eq!(c1.total, c2.total);
-    assert_eq!(c1.flows, c2.flows);
-    for provider in r2.providers().iter().take(8) {
-        assert_eq!(
-            domains_of_provider(&r1, provider, last).expect("v1 scan"),
-            domains_of_provider(&r2, provider, last).expect("v2 postings"),
-            "domains of {provider}"
-        );
     }
 }
 
@@ -299,7 +252,7 @@ fn corrupted_stores_never_panic() {
                 });
                 let _ = reader.acquisition_report(epoch);
                 let _ = reader.lookup("example.gov", epoch);
-                // v2 index surfaces are held to the same totality bar.
+                // The index surfaces are held to the same totality bar.
                 let _ = reader.summary_total_rows(epoch);
                 let _ = reader.for_each_rollup(epoch, |_c, _w| Ok(()));
                 if let Ok(digest) = reader.digest_rows(epoch) {
