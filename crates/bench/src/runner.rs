@@ -22,8 +22,11 @@ pub fn scale_from_env() -> ScenarioConfig {
 /// A study plus memoised per-snapshot measurement and inference results,
 /// so experiment binaries that share snapshots do not recompute them.
 pub struct ExperimentCtx {
+    /// The generated study: its scenario, domain corpus and evolution.
     pub study: Study,
+    /// Misidentification knowledge every inference run uses.
     pub knowledge: ProviderKnowledge,
+    /// The provider-ID → company map for store rows and rollups.
     pub companies: CompanyMap,
     snapshots: HashMap<usize, (World, SnapshotData)>,
     results: HashMap<(usize, Dataset), InferenceResult>,

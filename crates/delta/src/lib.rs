@@ -9,8 +9,10 @@
 //! event batch actually dirtied** — inference itself is staged, with
 //! the population-coupled stages recomputed in full and the pure
 //! attribution stages memoised under exact invalidation — then
-//! appends the result to the store it holds hot as a true delta
-//! epoch ([`mx_store::StoreWriter::snapshot`]; the reopen path,
+//! hands only the changed rows to the store writer it holds hot
+//! ([`mx_store::StoreWriter::add_epoch_changes`]), which appends them
+//! as a true delta epoch and emits the grown file
+//! ([`mx_store::StoreWriter::snapshot`]; the reopen path,
 //! [`mx_store::StoreWriter::append_epochs`], serves stores loaded
 //! back from disk).
 //!

@@ -385,8 +385,11 @@ fn row_from_assignment(
 /// per-domain and per-IP observation caches, the maintained reverse
 /// index and joined view, and the hot store writer.
 ///
-/// Everything the batch loop touches is maintained incrementally, so
-/// per-batch cost is O(dirty + appended bytes), not O(population):
+/// Measurement, memo lookups and the store append are maintained
+/// incrementally and cost O(dirty + appended bytes); the coupled
+/// inference stages (certificate grouping, per-IP IDs, confidence
+/// counts, each with its diff against the previous batch) and the
+/// writer's index walk still visit the whole population every batch:
 ///
 /// - `footprints`/`ref_index`: each domain's state-derived address set
 ///   and its inversion, updated only for domains whose zone changed
@@ -396,14 +399,16 @@ fn row_from_assignment(
 ///   stages run over, patched in place (dirty rows replaced,
 ///   adds/deletes merged in one sorted pass, the referenced-IP maps
 ///   adjusted by refcount);
-/// - `mx_pre`/`mx_post`/`row_memo` (plus the `ip_ids`/`confidence`
-///   diff bases and the `mx_users` reverse index): the staged
-///   inference memos — per-exchange and per-domain attributions
-///   recompute only when the coupled-stage diff says their inputs
-///   changed;
-/// - `writer`: the [`StoreWriter`] stays open across the whole series
-///   and emits a complete file per epoch via
-///   [`StoreWriter::snapshot`] — the same accumulation a full build
+/// - `mx_pre`/`mx_post` (plus the `ip_ids`/`confidence` diff bases and
+///   the `mx_users` reverse index): the staged inference memos —
+///   per-exchange and per-domain attributions recompute only when the
+///   coupled-stage diff says their inputs changed;
+/// - `writer`: the [`StoreWriter`] stays open across the whole series.
+///   Its resolved view of the last epoch is the per-domain attribution
+///   memo: each batch hands it only the re-attributed rows and the
+///   departed domains ([`StoreWriter::add_epoch_changes`]), and it
+///   emits a complete file per epoch via [`StoreWriter::snapshot`],
+///   which copies cached sections — the same accumulation a full build
 ///   performs, so byte-identity is structural rather than re-proved by
 ///   a decode/re-encode round trip. (The reopen path,
 ///   [`StoreWriter::append_epochs`], remains the API for growing a
@@ -451,8 +456,6 @@ pub struct Reconciler {
     /// attribution reverse index: a changed post-check assignment
     /// re-attributes exactly these domains).
     mx_users: HashMap<Name, BTreeSet<String>>,
-    /// Final store row of every live domain (the `domainid` memo).
-    row_memo: HashMap<String, RowIn>,
     companies: CompanyMap,
     writer: StoreWriter,
 }
@@ -477,7 +480,6 @@ impl Reconciler {
             mx_pre: HashMap::new(),
             mx_post: HashMap::new(),
             mx_users: HashMap::new(),
-            row_memo: HashMap::new(),
             companies: company_map(),
             writer: StoreWriter::new(),
         }
@@ -549,21 +551,13 @@ impl Reconciler {
             .map(String::as_str)
             .zip(obs.domains.iter())
             .collect();
-        self.row_memo = mx_par::par_map(&entries, |&(key, d)| {
+        let rows = mx_par::par_map(&entries, |&(key, d)| {
             let a = domainid::assign_domain(d, &self.mx_post, &obs);
-            (key.to_string(), row_from_assignment(key, &a, &self.companies, &self.psl))
-        })
-        .into_iter()
-        .collect();
+            row_from_assignment(key, &a, &self.companies, &self.psl)
+        });
         for (key, d) in &entries {
             users_inc(&mut self.mx_users, d, key);
         }
-
-        let rows: Vec<RowIn> = self
-            .view_keys
-            .iter()
-            .map(|k| self.row_memo.get(k).expect("row seeded above").clone())
-            .collect();
         self.writer.add_epoch(&epoch_label(0), rows, &obs.acquisition)?;
         self.view = obs;
         self.epoch = 1;
@@ -891,11 +885,6 @@ impl Reconciler {
                 reattribute.extend(ds.iter().cloned());
             }
         }
-        for d in &removed {
-            if !self.state.domains.contains_key(d) {
-                self.row_memo.remove(d);
-            }
-        }
         let reattribute: Vec<String> = reattribute
             .into_iter()
             .filter(|d| self.state.domains.contains_key(d))
@@ -906,21 +895,18 @@ impl Reconciler {
             let a = domainid::assign_domain(row, &self.mx_post, &self.view);
             row_from_assignment(d, &a, &self.companies, &self.psl)
         });
-        for r in new_rows {
-            self.row_memo.insert(r.name.clone(), r);
-        }
 
-        // 9f. Assemble the epoch's rows from the memo in view order
-        // and append on the hot writer.
-        let rows: Vec<RowIn> = self
-            .view_keys
-            .iter()
-            .map(|k| self.row_memo.get(k).expect("every live domain has a memoised row").clone())
+        // 9f. Append the epoch on the hot writer: its resolved view
+        // holds every other domain's row from earlier batches.
+        let departed: Vec<String> = removed
+            .into_iter()
+            .filter(|d| !self.state.domains.contains_key(d))
             .collect();
         self.ip_ids = new_ip_ids;
         self.confidence = new_conf;
         let label = epoch_label(self.epoch);
-        self.writer.add_epoch(&label, rows, &self.view.acquisition)?;
+        self.writer
+            .add_epoch_changes(&label, new_rows, departed, &self.view.acquisition)?;
         self.epoch += 1;
         let out = self.writer.snapshot();
 

@@ -523,7 +523,7 @@ mod tests {
         let mut w = WireWriter::new();
         let slot = w.reserve_u16().unwrap();
         w.put_u32(1).unwrap();
-        w.patch_u16(slot, 0x1234);
+        assert_eq!(w.patch_u16(slot, 0x1234), Ok(()));
         let bytes = w.into_bytes();
         assert_eq!(&bytes[0..2], &[0x12, 0x34]);
     }

@@ -63,6 +63,11 @@ struct Restart<'a> {
 struct EpochIx<'a> {
     label: &'a str,
     kind: EpochKind,
+    /// The whole rows section (entry-count varint, then the entries),
+    /// which writer reopen carries over verbatim.
+    rows: &'a [u8],
+    /// The whole sidecar section, likewise.
+    side: &'a [u8],
     /// Entry bytes (after the entry-count varint).
     entries: &'a [u8],
     entry_count: u64,
@@ -269,6 +274,8 @@ impl<'a> StoreReader<'a> {
             epochs.push(EpochIx {
                 label,
                 kind,
+                rows,
+                side,
                 entries,
                 entry_count,
                 restarts,
@@ -668,25 +675,11 @@ impl<'a> StoreReader<'a> {
         (&self.providers, &self.companies, &self.provider_company)
     }
 
-    /// The raw pieces of one epoch section for writer reopen: label,
-    /// kind, entry count, entry bytes (after the count varint), and the
-    /// two sidecar slices with their entry counts.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_epoch(
-        &self,
-        epoch: usize,
-    ) -> Option<(&'a str, EpochKind, u64, &'a [u8], usize, &'a [u8], usize, &'a [u8])> {
+    /// The raw pieces of one epoch for writer reopen: label, kind, and
+    /// the rows and sidecar sections exactly as stored.
+    pub(crate) fn raw_epoch(&self, epoch: usize) -> Option<(&'a str, EpochKind, &'a [u8], &'a [u8])> {
         let e = self.epochs.get(epoch)?;
-        Some((
-            e.label,
-            e.kind,
-            e.entry_count,
-            e.entries,
-            e.ip_count,
-            e.side_ips,
-            e.dns_count,
-            e.side_dns,
-        ))
+        Some((e.label, e.kind, e.rows, e.side))
     }
 
     /// Number of dictionary entries.

@@ -27,6 +27,19 @@ trap 'exit 130' INT TERM HUP
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> warning-free build (cargo build --release --workspace --all-targets must print no warning)"
+cargo build --release --workspace --all-targets 2> /tmp/mx_build_all.log || {
+    cat /tmp/mx_build_all.log
+    exit 1
+}
+cat /tmp/mx_build_all.log
+if grep -q '^warning' /tmp/mx_build_all.log; then
+    echo "compiler warnings above"
+    rm -f /tmp/mx_build_all.log
+    exit 1
+fi
+rm -f /tmp/mx_build_all.log
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -1,20 +1,24 @@
 //! Incremental-measurement gate for `mx-delta`.
 //!
-//! The contract: a store grown by the reconciler — base build plus
-//! `StoreWriter::append_epochs` per event batch, re-measuring only
-//! dirty domains — is **byte-identical** to a full-pipeline recompute
-//! of the same end state, for every seed, event rate and `mx_par`
-//! thread width. On top of the bytes, the `delta.*` obs counters must
-//! reconcile exactly against the reconciler's own accounting, and the
-//! accounting must close: every domain is either re-resolved or a
-//! reuse hit, never both, never neither.
+//! The contract: every store the reconciler emits — the base build,
+//! then one epoch per event batch appended on its hot `StoreWriter`
+//! (only the re-attributed rows and departed domains are handed over)
+//! and encoded with `StoreWriter::snapshot` — is **byte-identical** to
+//! a full-pipeline recompute of the same log prefix, for every seed,
+//! event rate and `mx_par` thread width. Checking every prefix, not
+//! only the last, means writer state that goes stale mid-series
+//! fails here even when a later epoch happens to mask it. On top of
+//! the bytes, the `delta.*` obs counters must reconcile exactly
+//! against the reconciler's own accounting, and the accounting must
+//! close: every domain is either re-resolved or a reuse hit, never
+//! both, never neither.
 //!
 //! Everything runs inside one `#[test]` so the global counter
 //! comparison is not raced by a sibling test.
 
 use mx_delta::{
     decode_log, encode_log, full_recompute, generate_events, run_incremental, EventStreamConfig,
-    WorldState,
+    Reconciler, WorldState,
 };
 use mx_store::{EpochKind, StoreReader};
 
@@ -64,18 +68,34 @@ fn incremental_append_is_byte_identical_to_full_recompute() {
             let replayed = decode_log(&encode_log(&log)).expect("log round-trips");
             assert_eq!(replayed, log);
 
-            // Oracle: full recompute of every prefix state.
-            let oracle =
-                mx_par::install(8, || full_recompute(&initial, &replayed).expect("oracle runs"));
+            // Oracle: a full recompute of every prefix of the log.
+            let oracle: Vec<Vec<u8>> = mx_par::install(8, || {
+                (0..=replayed.len())
+                    .map(|k| full_recompute(&initial, &replayed[..k]).expect("oracle runs"))
+                    .collect()
+            });
 
             for &threads in THREADS {
                 let (bytes, stats) = mx_par::install(threads, || {
-                    run_incremental(&initial, &replayed).expect("incremental runs")
+                    let mut rec = Reconciler::new(initial.clone());
+                    let mut bytes = rec.base_store().expect("base builds");
+                    assert_eq!(
+                        bytes, oracle[0],
+                        "seed {seed} rate {rate} threads {threads}: base store diverged"
+                    );
+                    let mut stats = Vec::with_capacity(replayed.len());
+                    for (k, batch) in replayed.iter().enumerate() {
+                        let (next, s) = rec.apply_batch(batch).expect("batch applies");
+                        assert_eq!(
+                            next,
+                            oracle[k + 1],
+                            "seed {seed} rate {rate} threads {threads}: store after batch {k} diverged"
+                        );
+                        bytes = next;
+                        stats.push(s);
+                    }
+                    (bytes, stats)
                 });
-                assert_eq!(
-                    bytes, oracle,
-                    "seed {seed} rate {rate} threads {threads}: incremental store diverged"
-                );
 
                 // The accounting closes batch by batch: every domain is
                 // re-resolved or reused, and every re-scan shows up in
@@ -117,8 +137,13 @@ fn incremental_append_is_byte_identical_to_full_recompute() {
 
             // Churn sanity: at low rates most measurement is reused.
             if rate <= 0.05 {
-                let (_, stats) =
+                let (bytes, stats) =
                     mx_par::install(1, || run_incremental(&initial, &replayed).expect("runs"));
+                assert_eq!(
+                    Some(&bytes),
+                    oracle.last(),
+                    "seed {seed} rate {rate}: run_incremental diverged"
+                );
                 for s in &stats {
                     expected[0] += s.events_applied;
                     expected[1] += s.dirty_domains;
