@@ -14,8 +14,7 @@
 //! [`domains_of_provider`]) without merging the epoch's delta layers.
 //! The `*_merged` variants walk those layers row by row instead: they
 //! are the reference oracles the index answers are checked against
-//! (`tests/store_gate.rs` across seeds and thread counts, and
-//! `bench_pipeline --store` before it times anything). Both paths
+//! (`tests/store_gate.rs` across seeds and thread counts). Both paths
 //! accumulate weights in the same dotted-name byte order as the
 //! in-memory analyses, so all three agree — bit-for-bit on every
 //! `f64`.

@@ -59,9 +59,9 @@ fn bench_cert_grouping(c: &mut Criterion) {
 }
 
 /// Thread scaling of the full pipeline over the shared `mx_par` pool.
-/// On a single-core host every point degenerates to the serial path;
-/// the committed study-scale numbers live in
-/// `results/BENCH_pipeline.json` (see the `bench_pipeline` binary).
+/// On a single-core host every point degenerates to the serial path.
+/// The end-to-end numbers come from the `perfbench/` workloads, which
+/// run at width 1.
 fn bench_thread_scaling(c: &mut Criterion) {
     let obs = observation();
     let pipeline = Pipeline::priority_based(mx_corpus::provider_knowledge(10));

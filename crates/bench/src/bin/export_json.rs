@@ -2,17 +2,21 @@
 //! (`results/experiments.json`), for downstream plotting.
 
 use mx_analysis::{accuracy, country, coverage, market};
-use mx_bench::json::Value;
-use mx_bench::obj;
 use mx_bench::ExperimentCtx;
 use mx_corpus::Dataset;
 use mx_infer::Strategy;
+use mx_obs::json::Value;
+
+/// An object from `(key, value)` pairs, keys in the given order.
+fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
 
 fn main() {
     let mut ctx = ExperimentCtx::from_env();
     let k = ExperimentCtx::last_snapshot();
     let companies = ctx.companies.clone();
-    let mut root = Value::object();
+    let mut root = Value::obj();
 
     // Figure 4 accuracy cells.
     let mut fig4 = Vec::new();
@@ -23,18 +27,18 @@ fn main() {
         let (world, _) = ctx.snapshot(k);
         let report = accuracy::evaluate(&obs, &world.truth, knowledge, &companies, 200, seed);
         for c in &report.cells {
-            fig4.push(obj! {
-                "dataset" => ds.label(),
-                "strategy" => c.strategy.label(),
-                "sample" => c.sample.label(),
-                "n" => c.sample_size,
-                "correct" => c.correct,
-                "accuracy" => c.accuracy(),
-                "examined" => c.examined,
-            });
+            fig4.push(obj([
+                ("dataset", ds.label().into()),
+                ("strategy", c.strategy.label().into()),
+                ("sample", c.sample.label().into()),
+                ("n", c.sample_size.into()),
+                ("correct", c.correct.into()),
+                ("accuracy", c.accuracy().into()),
+                ("examined", c.examined.into()),
+            ]));
         }
     }
-    root.insert("fig4_accuracy", fig4);
+    root.insert("fig4_accuracy", Value::Arr(fig4));
 
     // Table 4 coverage.
     let mut table4 = Vec::new();
@@ -42,15 +46,15 @@ fn main() {
         let obs = ctx.observation(k, ds).expect("active").clone();
         let b = coverage::breakdown(&obs);
         for (cat, n) in &b.counts {
-            table4.push(obj! {
-                "dataset" => ds.label(),
-                "category" => cat.label(),
-                "count" => *n,
-                "share" => *n as f64 / b.total as f64,
-            });
+            table4.push(obj([
+                ("dataset", ds.label().into()),
+                ("category", cat.label().into()),
+                ("count", (*n).into()),
+                ("share", (*n as f64 / b.total as f64).into()),
+            ]));
         }
     }
-    root.insert("table4_coverage", table4);
+    root.insert("table4_coverage", Value::Arr(table4));
 
     // Table 6 market shares.
     let mut table6 = Vec::new();
@@ -58,16 +62,16 @@ fn main() {
         let result = ctx.result(k, ds).clone();
         let shares = market::market_share(&result, &companies, None);
         for (rank, r) in shares.top(15).iter().enumerate() {
-            table6.push(obj! {
-                "dataset" => ds.label(),
-                "rank" => rank + 1,
-                "company" => r.company.clone(),
-                "weight" => r.weight,
-                "share" => r.share,
-            });
+            table6.push(obj([
+                ("dataset", ds.label().into()),
+                ("rank", (rank + 1).into()),
+                ("company", r.company.clone().into()),
+                ("weight", r.weight.into()),
+                ("share", r.share.into()),
+            ]));
         }
     }
-    root.insert("table6_top15", table6);
+    root.insert("table6_top15", Value::Arr(table6));
 
     // Figure 8 country matrix.
     let records = ctx.study.populations[0].domains.clone();
@@ -76,27 +80,26 @@ fn main() {
     let mut fig8 = Vec::new();
     for cc in country::FIG8_CCTLDS {
         for provider in country::FIG8_PROVIDERS {
-            fig8.push(obj! {
-                "cctld" => cc,
-                "provider" => provider,
-                "domains" => m.total(cc),
-                "share" => m.share(cc, provider),
-            });
+            fig8.push(obj([
+                ("cctld", cc.into()),
+                ("provider", provider.into()),
+                ("domains", m.total(cc).into()),
+                ("share", m.share(cc, provider).into()),
+            ]));
         }
     }
-    root.insert("fig8_country", fig8);
+    root.insert("fig8_country", Value::Arr(fig8));
 
     // Strategy labels for completeness.
     root.insert(
         "strategies",
-        Strategy::ALL
-            .iter()
-            .map(|s| s.label().to_string())
-            .collect::<Vec<_>>(),
+        Value::Arr(Strategy::ALL.iter().map(|s| s.label().into()).collect()),
     );
 
     std::fs::create_dir_all("results").ok();
-    let out = root.to_string_pretty();
-    std::fs::write("results/experiments.json", &out).expect("write");
+    // The committed file has no trailing newline.
+    let pretty = root.to_string_pretty();
+    let out = pretty.trim_end_matches('\n');
+    std::fs::write("results/experiments.json", out).expect("write");
     println!("wrote results/experiments.json ({} bytes)", out.len());
 }

@@ -63,4 +63,4 @@ pub use mxid::{IdSource, MxAssignment};
 pub use pattern::Pattern;
 pub use pipeline::{InferenceResult, Pipeline, Strategy};
 pub use spf::{eventual_providers, Mechanism, Qualifier, SpfRecord};
-pub use store_io::{assignment_from_row, open_store, result_rows};
+pub use store_io::{assignment_from_row, result_rows};

@@ -7,14 +7,13 @@
 //! bit-for-bit (weights round-trip as exact `f64` bit patterns).
 
 use mx_dns::Name;
-use mx_store::{RowIn, ShareIn, ShareSource, StoreError, StoreReader, StoreWriter};
+use mx_store::{RowIn, ShareIn, ShareSource, StoreError};
 
 use crate::company::CompanyMap;
 use crate::domainid::{DomainAssignment, Share};
-use crate::input::ObservationSet;
 use crate::ipid::ProviderId;
 use crate::mxid::IdSource;
-use crate::pipeline::{InferenceResult, Pipeline};
+use crate::pipeline::InferenceResult;
 
 /// Map an inference [`IdSource`] onto its store wire twin.
 pub fn source_to_store(source: IdSource) -> ShareSource {
@@ -83,42 +82,13 @@ pub fn assignment_from_row(
     })
 }
 
-/// Open a store buffer for querying. Re-exported convenience over
-/// [`StoreReader::open`] so pipeline consumers need no direct
-/// `mx-store` dependency.
-pub fn open_store(bytes: &[u8]) -> Result<StoreReader<'_>, StoreError> {
-    StoreReader::open(bytes)
-}
-
-impl Pipeline {
-    /// Run the pipeline over each labelled epoch and serialize the
-    /// results (plus each epoch's acquisition sidecar) into one store
-    /// buffer: the first epoch becomes the base snapshot, later ones
-    /// deltas. Labels must be unique per epoch for [`StoreReader::find_epoch`]
-    /// to be useful, but the store itself does not require it.
-    pub fn write_store<'a, I>(
-        &self,
-        companies: &CompanyMap,
-        epochs: I,
-    ) -> Result<Vec<u8>, StoreError>
-    where
-        I: IntoIterator<Item = (&'a str, &'a ObservationSet)>,
-    {
-        let mut writer = StoreWriter::new();
-        for (label, obs) in epochs {
-            let result = self.run(obs);
-            writer.add_epoch(label, result_rows(&result, companies), &obs.acquisition)?;
-        }
-        Ok(writer.finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{DomainObservation, MxObservation, MxTargetObs};
-    use crate::pipeline::Strategy;
+    use crate::input::{DomainObservation, MxObservation, MxTargetObs, ObservationSet};
+    use crate::pipeline::{Pipeline, Strategy};
     use mx_dns::dns_name;
+    use mx_store::{StoreReader, StoreWriter};
 
     fn tiny_obs(domain: &str, mx: &str) -> ObservationSet {
         let mut obs = ObservationSet::new();
@@ -134,17 +104,20 @@ mod tests {
     }
 
     #[test]
-    fn write_store_round_trips_assignments() {
+    fn stored_rows_round_trip_assignments() {
         let pipeline = Pipeline::new(Strategy::MxOnly);
         let obs0 = tiny_obs("alpha.test", "mx.alpha.test");
         let obs1 = tiny_obs("alpha.test", "aspmx.l.google.com");
         let mut companies = CompanyMap::new();
         companies.insert("google.com", "Google");
 
-        let bytes = pipeline
-            .write_store(&companies, [("e0", &obs0), ("e1", &obs1)])
-            .unwrap();
-        let reader = open_store(&bytes).unwrap();
+        let mut writer = StoreWriter::new();
+        for (label, obs) in [("e0", &obs0), ("e1", &obs1)] {
+            let rows = result_rows(&pipeline.run(obs), &companies);
+            writer.add_epoch(label, rows, &obs.acquisition).unwrap();
+        }
+        let bytes = writer.finish();
+        let reader = StoreReader::open(&bytes).unwrap();
         assert_eq!(reader.epoch_count(), 2);
 
         let expect0 = pipeline.run(&obs0);

@@ -14,26 +14,15 @@
 
 use std::collections::BTreeMap;
 
+use mx_obs::json::push_json_str;
+
 use crate::rules::{Diagnostic, Rule};
 use crate::Report;
 
-/// Escape `s` for a JSON string literal (RFC 8259 minimal set plus
-/// control characters).
-pub fn json_escape(s: &str) -> String {
+/// `s` as a quoted JSON string literal.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    push_json_str(&mut out, s);
     out
 }
 
@@ -69,11 +58,11 @@ pub fn render_json(report: &Report, baseline_suppressed: usize) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
+            "\n    {{\"file\": {}, \"line\": {}, \"rule\": \"{}\", \"message\": {}}}",
+            json_str(&d.file),
             d.line,
             d.rule.id(),
-            json_escape(&d.message)
+            json_str(&d.message)
         ));
     }
     if !report.diagnostics.is_empty() {
@@ -99,9 +88,9 @@ pub fn render_sarif(report: &Report) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
+            "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": {}}}}}",
             r.id(),
-            json_escape(r.summary())
+            json_str(r.summary())
         ));
     }
     out.push_str("\n          ]\n        }\n      },\n");
@@ -111,12 +100,12 @@ pub fn render_sarif(report: &Report) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
+            "\n        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": {}}}, \
+             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
              \"region\": {{\"startLine\": {}}}}}}}]}}",
             d.rule.id(),
-            json_escape(&d.message),
-            json_escape(&d.file),
+            json_str(&d.message),
+            json_str(&d.file),
             d.line.max(1)
         ));
     }
@@ -237,6 +226,36 @@ mod tests {
         assert!(a.contains("\"schema\": \"mx-lint/2\""));
         assert!(a.contains("\\\"panic\\\""), "quotes escaped: {a}");
         assert!(a.ends_with("}\n"));
+    }
+
+    /// Exact bytes for a diagnostic whose file and message need every
+    /// kind of escape: quote, backslash, newline, tab, control byte.
+    #[test]
+    fn escaped_diagnostic_bytes_are_pinned() {
+        let r = Report {
+            diagnostics: vec![diag("q\"b\\n\nt\t\u{1}.rs", 4, Rule::R1, "m\"b\\n\nt\t\u{1}")],
+            files_checked: 1,
+            allows_total: 0,
+        };
+        assert_eq!(
+            render_json(&r, 0),
+            "{\n  \"schema\": \"mx-lint/2\",\n  \"files_checked\": 1,\n  \"allows_total\": 0,\n  \
+             \"baseline_suppressed\": 0,\n  \"diagnostics\": [\n    \
+             {\"file\": \"q\\\"b\\\\n\\nt\\t\\u0001.rs\", \"line\": 4, \"rule\": \"R1\", \
+             \"message\": \"m\\\"b\\\\n\\nt\\t\\u0001\"}\n  ]\n}\n"
+        );
+        let sarif = render_sarif(&r);
+        let results = sarif.find("\"results\": [").map(|i| &sarif[i..]);
+        assert_eq!(
+            results,
+            Some(
+                "\"results\": [\n        {\"ruleId\": \"R1\", \"level\": \"error\", \
+                 \"message\": {\"text\": \"m\\\"b\\\\n\\nt\\t\\u0001\"}, \"locations\": \
+                 [{\"physicalLocation\": {\"artifactLocation\": \
+                 {\"uri\": \"q\\\"b\\\\n\\nt\\t\\u0001.rs\"}, \"region\": {\"startLine\": 4}}}]}\n      \
+                 ]\n    }\n  ]\n}\n"
+            )
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A minimal self-contained JSON value, writer and parser.
+//! A minimal self-contained JSON value, writer and parser, plus the
+//! workspace's one JSON string escaper, [`push_json_str`].
 //!
 //! The exporter writes snapshots and the CI stage re-reads them for
 //! schema validation; the build environment is offline, so both ends
@@ -7,6 +8,8 @@
 //! byte slice: depth-limited by [`MAX_JSON_DEPTH`], position-indexed
 //! via `get`, and total — malformed input yields a typed [`JsonError`],
 //! never a panic.
+
+use std::fmt::Write as _;
 
 /// Maximum nesting depth the writer emits and the parser accepts. The
 /// snapshot schema needs 4; the bound exists so corrupt input cannot
@@ -149,7 +152,7 @@ fn write_value(out: &mut String, v: &Value, depth: usize) {
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
         Value::Num(n) => write_number(out, *n),
-        Value::Str(s) => write_escaped(out, s),
+        Value::Str(s) => push_json_str(out, s),
         Value::Arr(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -180,7 +183,7 @@ fn write_value(out: &mut String, v: &Value, depth: usize) {
                 }
                 out.push('\n');
                 push_indent(out, depth + 1);
-                write_escaped(out, k);
+                push_json_str(out, k);
                 out.push_str(": ");
                 write_value(out, val, depth + 1);
             }
@@ -210,19 +213,33 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control bytes. Unescaped runs are copied
+/// whole. [`Value`]'s printer, the mx-lint reports and the mx-serve
+/// response bodies all escape through this one table.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
@@ -512,6 +529,62 @@ mod tests {
     fn integers_print_without_fraction() {
         assert_eq!(Value::from(7u64).to_string_pretty(), "7\n");
         assert_eq!(Value::from(0.5).to_string_pretty(), "0.5\n");
+    }
+
+    #[test]
+    fn non_finite_numbers_print_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Num(n).to_string_pretty(), "null\n");
+        }
+    }
+
+    #[test]
+    fn pretty_output_shape() {
+        let mut inner = Value::obj();
+        inner.insert("items", Value::arr());
+        inner.insert("empty", Value::obj());
+        let mut root = Value::obj();
+        root.insert("name", "a\"b".into());
+        root.insert("share", 0.5.into());
+        let mut arr = Value::arr();
+        arr.push(inner);
+        root.insert("rows", arr);
+        assert_eq!(
+            root.to_string_pretty(),
+            "{\n  \"name\": \"a\\\"b\",\n  \"share\": 0.5,\n  \"rows\": [\n    {\n      \
+             \"items\": [],\n      \"empty\": {}\n    }\n  ]\n}\n"
+        );
+    }
+
+    fn json_str(s: &str) -> String {
+        let mut out = String::new();
+        push_json_str(&mut out, s);
+        out
+    }
+
+    /// The escape table, byte for byte, against the char-at-a-time
+    /// form it replaced.
+    #[test]
+    fn escapes_match_char_walk() {
+        let all: String = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .chain("\u{7f}é✓\u{1F600}".chars())
+            .collect();
+        let mut want = String::from("\"");
+        for c in all.chars() {
+            match c {
+                '"' => want.push_str("\\\""),
+                '\\' => want.push_str("\\\\"),
+                '\n' => want.push_str("\\n"),
+                '\r' => want.push_str("\\r"),
+                '\t' => want.push_str("\\t"),
+                c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                c => want.push(c),
+            }
+        }
+        want.push('"');
+        assert_eq!(json_str(&all), want);
+        assert_eq!(json_str(""), "\"\"");
     }
 
     #[test]

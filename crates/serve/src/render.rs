@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use mx_obs::json::push_json_str;
+
 /// The `Content-Type` every JSON endpoint sends.
 pub const CONTENT_TYPE_JSON: &str = "application/json";
 /// The `Content-Type` of the Prometheus text exposition format,
@@ -148,35 +150,6 @@ impl Response {
     }
 }
 
-/// Append `s` as a JSON string literal (quotes included), escaping
-/// quotes, backslashes and control bytes. Unescaped runs are copied
-/// whole.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
-        out.push_str(s.get(run..i).unwrap_or_default());
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
-        }
-        run = i + 1;
-    }
-    out.push_str(s.get(run..).unwrap_or_default());
-    out.push('"');
-}
-
 /// Append an `f64` deterministically with six decimal places — enough
 /// for market shares and weights, identical on every platform.
 pub fn push_json_f64(out: &mut String, v: f64) {
@@ -209,49 +182,10 @@ pub fn push_json_arr<T>(
 mod tests {
     use super::*;
 
-    fn json_str(s: &str) -> String {
-        let mut out = String::new();
-        push_json_str(&mut out, s);
-        out
-    }
-
     fn json_f64(v: f64) -> String {
         let mut out = String::new();
         push_json_f64(&mut out, v);
         out
-    }
-
-    #[test]
-    fn escapes() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_str("é\r\tü\u{1f}"), "\"é\\r\\tü\\u001f\"");
-        assert_eq!(json_str(""), "\"\"");
-    }
-
-    /// The escape table, byte for byte, against the char-at-a-time
-    /// form it replaced.
-    #[test]
-    fn escapes_match_char_walk() {
-        let all: String = (0u32..0x80)
-            .filter_map(char::from_u32)
-            .chain("\u{7f}é✓\u{1F600}".chars())
-            .collect();
-        let mut want = String::from("\"");
-        for c in all.chars() {
-            match c {
-                '"' => want.push_str("\\\""),
-                '\\' => want.push_str("\\\\"),
-                '\n' => want.push_str("\\n"),
-                '\r' => want.push_str("\\r"),
-                '\t' => want.push_str("\\t"),
-                c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
-                c => want.push(c),
-            }
-        }
-        want.push('"');
-        assert_eq!(json_str(&all), want);
     }
 
     #[test]

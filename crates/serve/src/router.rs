@@ -12,11 +12,12 @@
 use std::fmt::Write as _;
 
 use crate::http::{Method, Request};
-use crate::render::{push_json_arr, push_json_f64, push_json_str, Response};
+use crate::render::{push_json_arr, push_json_f64, Response};
 use mx_analysis::churn::ChurnCategory;
 use mx_analysis::store::{
     churn_from_store, credit_shares_at, domains_of_provider, market_share_at,
 };
+use mx_obs::json::push_json_str;
 use mx_store::{StoreError, StoreReader};
 
 /// Maximum domains rendered in a `/providers/{p}/domains` answer; the

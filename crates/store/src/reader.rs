@@ -753,47 +753,29 @@ impl<'a> StoreReader<'a> {
         Ok(())
     }
 
-    /// Iterate the domains whose rows carry a share of `provider` in
-    /// `epoch`, in ascending name order, straight off the postings
-    /// list. Unknown providers yield nothing.
-    pub fn for_each_domain_of_provider<F>(
-        &self,
-        provider: &str,
-        epoch: usize,
-        mut f: F,
-    ) -> Result<(), StoreError>
-    where
-        F: FnMut(&str) -> Result<(), StoreError>,
-    {
-        let ix = self.index_of(epoch)?;
-        mx_obs::counter_volatile!(mx_obs::names::STORE_READ_POSTINGS_SCANS).incr();
-        let Some(pix) = self.provider_index(provider) else {
-            return Ok(());
-        };
-        let Some(posting) = posting_of(ix, pix) else {
-            return Ok(());
-        };
-        let mut buf: Vec<u8> = Vec::new();
-        for doc in index::PostingDocs::new(posting) {
-            self.dict.name_into(doc, &mut buf)?;
-            let name = std::str::from_utf8(&buf).map_err(|_utf8| StoreError::BadUtf8)?;
-            f(name)?;
-        }
-        Ok(())
-    }
-
-    /// The domains of [`StoreReader::for_each_domain_of_provider`],
-    /// collected.
+    /// The domains whose rows carry a share of `provider` in `epoch`,
+    /// in ascending name order, straight off the postings list.
+    /// Unknown providers yield nothing.
     pub fn domains_of_provider(
         &self,
         provider: &str,
         epoch: usize,
     ) -> Result<Vec<String>, StoreError> {
+        let ix = self.index_of(epoch)?;
+        mx_obs::counter_volatile!(mx_obs::names::STORE_READ_POSTINGS_SCANS).incr();
         let mut out = Vec::new();
-        self.for_each_domain_of_provider(provider, epoch, |name| {
+        let Some(pix) = self.provider_index(provider) else {
+            return Ok(out);
+        };
+        let Some(posting) = posting_of(ix, pix) else {
+            return Ok(out);
+        };
+        let mut buf: Vec<u8> = Vec::new();
+        for doc in index::PostingDocs::new(posting) {
+            self.dict.name_into(doc, &mut buf)?;
+            let name = std::str::from_utf8(&buf).map_err(|_utf8| StoreError::BadUtf8)?;
             out.push(name.to_string());
-            Ok(())
-        })?;
+        }
         Ok(out)
     }
 

@@ -48,6 +48,7 @@ fn deterministic_views() -> (String, String, String) {
     // Attribution rows must reconcile with the span layer's totals:
     // same enters, sim charges leaf-attributed exactly once.
     let stages = mx_obs::span::snapshot();
+    assert!(!attrib.rows.is_empty(), "attribution captured no stages");
     for s in &stages {
         let row = attrib
             .rows
