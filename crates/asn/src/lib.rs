@@ -14,17 +14,19 @@
 //! * [`AsTable`] — the prefix2as table: text-format loader (the CAIDA
 //!   `addr\tlen\tasn` format, including multi-origin `a_b` and `a,b`
 //!   AS sets), LPM lookup and AS metadata ([`AsInfo`]).
+//!
+//! The table is IPv4 only, as the paper's pipeline is: MX names are
+//! resolved to A records, and no simulated world publishes an AAAA
+//! record.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod prefix;
-pub mod prefix6;
 pub mod table;
 pub mod trie;
 
 pub use prefix::{Ipv4Prefix, PrefixError};
-pub use prefix6::{Ipv6Prefix, Ipv6Trie};
 pub use table::{AsInfo, AsTable, Origin, TableError};
 pub use trie::PrefixTrie;
 

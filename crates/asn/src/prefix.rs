@@ -81,11 +81,6 @@ impl Ipv4Prefix {
         false
     }
 
-    /// Raw network bits (host-order u32).
-    pub fn raw_bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Number of addresses covered.
     pub fn size(&self) -> u64 {
         1u64 << (32 - self.len)

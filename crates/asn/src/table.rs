@@ -6,7 +6,6 @@ use std::net::Ipv4Addr;
 
 
 use crate::prefix::{Ipv4Prefix, PrefixError};
-use crate::prefix6::{Ipv6Prefix, Ipv6Trie};
 use crate::trie::PrefixTrie;
 use crate::Asn;
 
@@ -114,7 +113,6 @@ impl std::error::Error for TableError {}
 #[derive(Debug, Default)]
 pub struct AsTable {
     trie: PrefixTrie<Origin>,
-    trie6: Ipv6Trie<Origin>,
     info: HashMap<Asn, AsInfo>,
 }
 
@@ -168,21 +166,6 @@ impl AsTable {
         self.trie.insert(prefix, origin);
     }
 
-    /// Announce an IPv6 prefix (the paper's §3.4 IPv6 extension).
-    pub fn announce6(&mut self, prefix: Ipv6Prefix, origin: Origin) {
-        self.trie6.insert(prefix, origin);
-    }
-
-    /// Longest-prefix-match for an IPv6 address.
-    pub fn origin_of6(&self, addr: std::net::Ipv6Addr) -> Option<&Origin> {
-        self.trie6.lookup(addr).map(|(_, o)| o)
-    }
-
-    /// Convenience: the primary ASN announcing an IPv6 address.
-    pub fn asn_of6(&self, addr: std::net::Ipv6Addr) -> Option<Asn> {
-        self.origin_of6(addr).map(Origin::primary)
-    }
-
     /// Register AS metadata.
     pub fn register_as(&mut self, info: AsInfo) {
         self.info.insert(info.asn, info);
@@ -201,11 +184,6 @@ impl AsTable {
     /// Convenience: the primary ASN announcing `addr`.
     pub fn asn_of(&self, addr: Ipv4Addr) -> Option<Asn> {
         self.origin_of(addr).map(Origin::primary)
-    }
-
-    /// The matched prefix and origin for `addr`.
-    pub fn match_of(&self, addr: Ipv4Addr) -> Option<(Ipv4Prefix, &Origin)> {
-        self.trie.lookup(addr)
     }
 
     /// AS metadata, if registered.
@@ -311,16 +289,6 @@ mod tests {
     fn comments_and_blanks_skipped() {
         let t = AsTable::load("# comment\n\n8.8.8.0\t24\t15169\n").unwrap();
         assert_eq!(t.prefix_count(), 1);
-    }
-
-    #[test]
-    fn ipv6_announcements() {
-        let mut t = AsTable::new();
-        t.announce6("2001:4860::/32".parse().unwrap(), Origin::Single(15169));
-        t.announce6("2a01:111::/32".parse().unwrap(), Origin::Single(8075));
-        assert_eq!(t.asn_of6("2001:4860:4860::8888".parse().unwrap()), Some(15169));
-        assert_eq!(t.asn_of6("2a01:111::25".parse().unwrap()), Some(8075));
-        assert_eq!(t.asn_of6("2620:fe::fe".parse().unwrap()), None);
     }
 
     #[test]

@@ -618,22 +618,6 @@ pub fn exp_table6(ctx: &mut ExperimentCtx) -> String {
     t.render()
 }
 
-/// GOV-only aside from Figure 5: hhs.gov / treasury.gov style agencies
-/// appearing in the top-15 (kept for completeness of Table 6's GOV column;
-/// already covered by `exp_table6`).
-pub fn gov_agency_presence(ctx: &mut ExperimentCtx) -> Vec<String> {
-    let k = ExperimentCtx::last_snapshot();
-    let companies = ctx.companies.clone();
-    let result = ctx.result(k, Dataset::Gov).clone();
-    let shares = market::market_share(&result, &companies, None);
-    shares
-        .rows
-        .iter()
-        .filter(|r| r.company.ends_with(".gov"))
-        .map(|r| r.company.clone())
-        .collect()
-}
-
 /// Extension (§3.4 future work): discover the *eventual* mail provider
 /// behind filtering services through SPF records. For every domain the
 /// methodology attributes to an e-mail security company, resolve its TXT

@@ -117,12 +117,6 @@ impl TrustStore {
         self.root_keys.insert(ca.key());
     }
 
-    /// Trust a bare root certificate.
-    pub fn add_root_certificate(&mut self, cert: &Certificate) {
-        self.root_fingerprints.insert(cert.fingerprint());
-        self.root_keys.insert(cert.subject_key);
-    }
-
     /// Is this exact certificate a trust anchor?
     pub fn is_trusted_root(&self, cert: &Certificate) -> bool {
         self.root_fingerprints.contains(&cert.fingerprint())

@@ -126,18 +126,6 @@ impl Pipeline {
         }
     }
 
-    /// Replace the Public Suffix List.
-    pub fn with_psl(mut self, psl: PublicSuffixList) -> Pipeline {
-        self.psl = std::sync::Arc::new(psl);
-        self
-    }
-
-    /// Replace the provider knowledge.
-    pub fn with_knowledge(mut self, knowledge: ProviderKnowledge) -> Pipeline {
-        self.knowledge = knowledge;
-        self
-    }
-
     /// The strategy in effect.
     pub fn strategy(&self) -> Strategy {
         self.strategy

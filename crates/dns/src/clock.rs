@@ -55,11 +55,6 @@ impl Timestamp {
         Timestamp(self.0 + days * 86_400)
     }
 
-    /// Add seconds.
-    pub fn plus_secs(self, secs: u64) -> Timestamp {
-        Timestamp(self.0 + secs)
-    }
-
     /// ISO `YYYY-MM` label, the granularity the paper's x-axes use.
     pub fn ym_label(self) -> String {
         let (y, m, _) = self.to_ymd();

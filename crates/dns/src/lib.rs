@@ -15,7 +15,10 @@
 //!   NXDOMAIN/NODATA distinction, CNAME handling, wildcards and referrals;
 //! * [`StubResolver`] — a caching stub resolver (positive + negative cache,
 //!   TTL expiry against a [`SimClock`], CNAME chasing) and the
-//!   [`resolver::MxResolution`] convenience used by the measurement layer;
+//!   [`resolver::MxResolution`] convenience used by the measurement layer.
+//!   It is the crate's only resolver: like OpenINTEL, the study reads
+//!   every MX and A record through one recursive server, so nothing
+//!   chases referrals from root hints;
 //! * [`SimClock`] / [`Timestamp`] — the deterministic time source shared by
 //!   the whole simulation (TTLs, certificate validity, snapshot dates).
 //!
@@ -27,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod iterative;
 pub mod master;
 pub mod message;
 pub mod name;
@@ -38,7 +40,6 @@ pub mod wire;
 pub mod zone;
 
 pub use clock::{SimClock, Timestamp};
-pub use iterative::IterativeResolver;
 pub use master::{parse_zone, to_master, MasterError};
 pub use message::{Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};

@@ -6,7 +6,7 @@
 //! CNAME processing at a node, wildcard synthesis, and delegation
 //! (referral) when a query falls below a delegated child.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::name::{is_ancestor_rev, Name, NameKey, NameRef, MAX_NAME_LEN};
@@ -82,11 +82,6 @@ impl Zone {
     /// Negative-caching TTL (RFC 2308: min(SOA TTL, SOA.minimum)).
     pub fn negative_ttl(&self) -> u32 {
         self.soa_ttl.min(self.soa.minimum)
-    }
-
-    /// Bump the SOA serial (zone edits during longitudinal evolution).
-    pub fn bump_serial(&mut self) {
-        self.soa.serial = self.soa.serial.wrapping_add(1);
     }
 
     /// Replace the SOA data (used by the master-file parser).
@@ -264,11 +259,6 @@ impl Zone {
             }
         }
         None
-    }
-
-    /// The set of distinct owner names (diagnostics / tests).
-    pub fn owner_names(&self) -> BTreeSet<&Name> {
-        self.records.keys().collect()
     }
 }
 

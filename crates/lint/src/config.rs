@@ -1,9 +1,10 @@
 //! `lint.toml` loading: the checked-in scope lists.
 //!
-//! The rule scopes ([`LintConfig`]) started life hard-coded in this
-//! crate; they now live in the repository's `lint.toml`, so adding a
-//! parser to the untrusted scope is a config review, not a lint-crate
-//! release. The file is a small, dependency-free TOML subset — flat
+//! The rule scopes ([`LintConfig`]) live only in the repository's
+//! `lint.toml`, so adding a parser to the untrusted scope is a config
+//! review, not a lint-crate release, and a tree without the file is
+//! an error rather than a silently unscoped run. The file is a small,
+//! dependency-free TOML subset — flat
 //! `key = ["…", …]` string arrays, `#` comments, arrays free to span
 //! lines:
 //!
@@ -16,14 +17,13 @@
 //!
 //! Keys mirror the [`LintConfig`] fields (`untrusted`, `wire_codecs`,
 //! `bounded_loops`, `deterministic`, `entry_points`, `skip_dirs`); a
-//! key left out keeps its
-//! [`LintConfig::default`] value, so the file can override scopes
-//! selectively. Unknown or duplicate keys and malformed syntax are
-//! typed [`ConfigError`]s — a misspelled scope list must fail the run,
-//! not silently lint nothing.
+//! key left out is an empty list. Unknown or duplicate keys, malformed
+//! syntax and a missing file are typed [`ConfigError`]s — a misspelled
+//! scope list must fail the run, not silently lint nothing.
 
 use std::fmt;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use crate::LintConfig;
 
@@ -52,6 +52,11 @@ pub enum ConfigError {
         /// What the parser expected.
         msg: &'static str,
     },
+    /// The workspace root has no `lint.toml`.
+    Missing {
+        /// The path that was looked up.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -64,6 +69,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "lint.toml:{line}: duplicate key `{key}`")
             }
             ConfigError::Syntax { line, msg } => write!(f, "lint.toml:{line}: {msg}"),
+            ConfigError::Missing { path } => write!(
+                f,
+                "{} not found: mx-lint reads its rule scopes from lint.toml",
+                path.display()
+            ),
         }
     }
 }
@@ -159,8 +169,7 @@ fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, ConfigError> {
 }
 
 impl LintConfig {
-    /// Parse a `lint.toml` source text. Keys present override the
-    /// matching [`LintConfig::default`] field; keys absent keep it.
+    /// Parse a `lint.toml` source text. Keys absent stay empty.
     pub fn from_toml_str(src: &str) -> Result<LintConfig, ConfigError> {
         let toks = tokenize(src)?;
         let mut config = LintConfig::default();
@@ -250,18 +259,20 @@ impl LintConfig {
         Ok(config)
     }
 
-    /// Load the configuration for a workspace root: `<root>/lint.toml`
-    /// when present, [`LintConfig::default`] otherwise. A present but
-    /// malformed file is an error (it must never silently lint with
-    /// the wrong scopes).
-    pub fn load(root: &Path) -> std::io::Result<LintConfig> {
+    /// Load the configuration for a workspace root from
+    /// `<root>/lint.toml`. A missing file is a `NotFound` error
+    /// carrying [`ConfigError::Missing`], a malformed one an
+    /// `InvalidData` error carrying its [`ConfigError`]: mx-lint must
+    /// never silently lint with the wrong scopes.
+    pub fn load(root: &Path) -> io::Result<LintConfig> {
         let path = root.join("lint.toml");
-        if !path.is_file() {
-            return Ok(LintConfig::default());
-        }
-        let src = std::fs::read_to_string(&path)?;
-        LintConfig::from_toml_str(&src)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let src = std::fs::read_to_string(&path).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => {
+                io::Error::new(io::ErrorKind::NotFound, ConfigError::Missing { path })
+            }
+            _ => e,
+        })?;
+        LintConfig::from_toml_str(&src).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -282,19 +293,36 @@ skip_dirs = []
         let c = LintConfig::from_toml_str(src).unwrap();
         assert_eq!(c.untrusted, ["crates/a/src/p.rs", "crates/b/src/q.rs"]);
         assert!(c.skip_dirs.is_empty());
-        // Untouched keys keep their defaults.
-        assert_eq!(c.wire_codecs, LintConfig::default().wire_codecs);
-        assert_eq!(c.bounded_loops, LintConfig::default().bounded_loops);
+        // Keys left out stay empty.
+        assert!(c.wire_codecs.is_empty());
+        assert!(c.bounded_loops.is_empty());
     }
 
     #[test]
-    fn empty_source_is_the_default() {
+    fn empty_source_scopes_nothing() {
         let c = LintConfig::from_toml_str("# nothing here\n").unwrap();
-        let d = LintConfig::default();
-        assert_eq!(c.untrusted, d.untrusted);
-        assert_eq!(c.deterministic, d.deterministic);
-        assert_eq!(c.entry_points, d.entry_points);
-        assert_eq!(c.skip_dirs, d.skip_dirs);
+        assert!(c.untrusted.is_empty());
+        assert!(c.wire_codecs.is_empty());
+        assert!(c.bounded_loops.is_empty());
+        assert!(c.deterministic.is_empty());
+        assert!(c.entry_points.is_empty());
+        assert!(c.skip_dirs.is_empty());
+    }
+
+    #[test]
+    fn load_without_lint_toml_is_an_error() {
+        // The lint crate's own directory has no lint.toml.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let err = LintConfig::load(dir).expect_err("no lint.toml, no config");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<ConfigError>());
+        assert_eq!(
+            inner,
+            Some(&ConfigError::Missing {
+                path: dir.join("lint.toml")
+            })
+        );
+        assert!(err.to_string().contains("lint.toml"), "{err}");
     }
 
     #[test]
@@ -306,8 +334,7 @@ entry_points = [\"crates/a/src/in.rs::decode\"]
         let c = LintConfig::from_toml_str(src).unwrap();
         assert_eq!(c.deterministic, ["crates/a/src/out.rs"]);
         assert_eq!(c.entry_points, ["crates/a/src/in.rs::decode"]);
-        // Partial override: untouched scopes keep their defaults.
-        assert_eq!(c.untrusted, LintConfig::default().untrusted);
+        assert!(c.untrusted.is_empty());
         // The new keys get the same typed-error treatment.
         assert!(matches!(
             LintConfig::from_toml_str("deterministic = []\ndeterministic = []"),

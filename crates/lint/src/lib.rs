@@ -106,8 +106,10 @@ pub fn lex_cache_stats() -> (usize, usize) {
 }
 
 /// Which files the domain rules apply to, as repo-relative path
-/// suffixes with forward slashes.
-#[derive(Debug, Clone)]
+/// suffixes with forward slashes. The scope lists live in the
+/// repository's `lint.toml` ([`LintConfig::load`]); the default is
+/// empty, so nothing is scoped unless that file says so.
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// R1/R3 scope: modules that parse untrusted input.
     pub untrusted: Vec<String>,
@@ -125,172 +127,6 @@ pub struct LintConfig {
     pub entry_points: Vec<String>,
     /// Directory names never descended into.
     pub skip_dirs: Vec<String>,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            untrusted: [
-                // DNS: wire decoding, master-file parsing, message and
-                // name handling all consume scanner input.
-                "crates/dns/src/wire.rs",
-                "crates/dns/src/master.rs",
-                "crates/dns/src/message.rs",
-                "crates/dns/src/name.rs",
-                // SMTP: reply/command grammars and the port-25 scan
-                // records parse remote banners.
-                "crates/smtp/src/reply.rs",
-                "crates/smtp/src/command.rs",
-                "crates/smtp/src/scan.rs",
-                // Certificates: chain validation and RFC 6125 host-name
-                // matching consume attacker-supplied chains and names.
-                "crates/cert/src/validate.rs",
-                "crates/cert/src/name_match.rs",
-                // SPF parsing consumes TXT records off the wire.
-                "crates/core/src/spf.rs",
-                // The parallel substrate: a panic in pool plumbing takes
-                // down whole scan batches, so it is held to R1/R3 (and
-                // R4 via its crate root) like the wire parsers.
-                "crates/par/src/lib.rs",
-                // The observability crate runs inside every stage of the
-                // pipeline (and its JSON parser consumes snapshot files
-                // from disk), so a panic there takes down the run it was
-                // supposed to explain. Held to R1/R3 like the parsers,
-                // R4 via its crate root.
-                "crates/obs/src/lib.rs",
-                "crates/obs/src/metrics.rs",
-                "crates/obs/src/span.rs",
-                "crates/obs/src/json.rs",
-                "crates/obs/src/export.rs",
-                // The snapshot store decodes files whose bytes may be
-                // corrupted or hand-edited; any input must produce a
-                // typed StoreError, never a panic.
-                "crates/store/src/format.rs",
-                "crates/store/src/varint.rs",
-                "crates/store/src/reader.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            wire_codecs: [
-                "crates/dns/src/wire.rs",
-                "crates/dns/src/message.rs",
-                "crates/smtp/src/reply.rs",
-                "crates/smtp/src/command.rs",
-                // Certificate validation walks length-prefixed chain and
-                // name structures, so the R2/R7 arithmetic rules apply
-                // even though it has no binary wire format of its own.
-                "crates/cert/src/validate.rs",
-                "crates/cert/src/name_match.rs",
-                // The store's binary codec: varint/prefix arithmetic on
-                // untrusted lengths on the read side, and the writer is
-                // held to the same R2/R7 arithmetic bar so encode-side
-                // offsets can't silently wrap either.
-                "crates/store/src/format.rs",
-                "crates/store/src/varint.rs",
-                "crates/store/src/reader.rs",
-                "crates/store/src/writer.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            bounded_loops: [
-                // The untrusted parsers: a loop that fails to advance its
-                // reader position hangs the whole scan batch.
-                "crates/dns/src/wire.rs",
-                "crates/dns/src/master.rs",
-                "crates/dns/src/message.rs",
-                "crates/dns/src/name.rs",
-                "crates/smtp/src/reply.rs",
-                "crates/smtp/src/command.rs",
-                "crates/smtp/src/scan.rs",
-                "crates/cert/src/validate.rs",
-                "crates/cert/src/name_match.rs",
-                "crates/core/src/spf.rs",
-                // The retrying acquisition layers: their loops must name
-                // the MAX_* budget that terminates them.
-                "crates/dns/src/resolver.rs",
-                "crates/net/src/scanner.rs",
-                // The store reader walks length-prefixed blocks: every
-                // loop must visibly bound its cursor.
-                "crates/store/src/format.rs",
-                "crates/store/src/varint.rs",
-                "crates/store/src/reader.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            deterministic: [
-                // Everything whose output lands in Stable-classed
-                // metrics, reports, or on-disk artifacts: the seeded
-                // world generator, the classification pipeline, the
-                // analysis layer, and the snapshot codec. A host clock
-                // or hash-order walk in any of these breaks the
-                // bit-identical-across-{threads,reruns,seeds} invariant
-                // the runtime gates enforce.
-                "crates/corpus/src/catalog.rs",
-                "crates/corpus/src/domains.rs",
-                "crates/corpus/src/evolution.rs",
-                "crates/corpus/src/knowledge.rs",
-                "crates/corpus/src/scenario.rs",
-                "crates/corpus/src/shares.rs",
-                "crates/corpus/src/worldgen.rs",
-                "crates/asn/src/table.rs",
-                "crates/asn/src/trie.rs",
-                "crates/asn/src/prefix.rs",
-                "crates/asn/src/prefix6.rs",
-                "crates/analysis/src/accuracy.rs",
-                "crates/analysis/src/churn.rs",
-                "crates/analysis/src/country.rs",
-                "crates/analysis/src/coverage.rs",
-                "crates/analysis/src/longitudinal.rs",
-                "crates/analysis/src/market.rs",
-                "crates/analysis/src/observe.rs",
-                "crates/analysis/src/report.rs",
-                "crates/analysis/src/store.rs",
-                "crates/core/src/certgroup.rs",
-                "crates/core/src/company.rs",
-                "crates/core/src/domainid.rs",
-                "crates/core/src/ipid.rs",
-                "crates/core/src/misid.rs",
-                "crates/core/src/mxid.rs",
-                "crates/core/src/pattern.rs",
-                "crates/core/src/pipeline.rs",
-                "crates/core/src/store_io.rs",
-                // The deterministic substrate itself: seeded RNG, the
-                // simulated network, the virtual DNS clock and servers.
-                "crates/rng/src/lib.rs",
-                "crates/net/src/simnet.rs",
-                "crates/net/src/fault.rs",
-                "crates/net/src/scanner.rs",
-                "crates/net/src/openintel.rs",
-                "crates/dns/src/clock.rs",
-                "crates/dns/src/server.rs",
-                "crates/dns/src/zone.rs",
-                "crates/smtp/src/server.rs",
-                // Stable-classed snapshot output: the store codec and
-                // the obs export/JSON layer (span.rs is deliberately
-                // absent — its wall-clock timings are Per-Run class).
-                "crates/store/src/writer.rs",
-                "crates/store/src/reader.rs",
-                "crates/store/src/format.rs",
-                "crates/obs/src/export.rs",
-                "crates/obs/src/json.rs",
-                "crates/obs/src/metrics.rs",
-                // Dogfood: the lint's own call graph and reporters must
-                // emit byte-identical output across runs.
-                "crates/lint/src/graph.rs",
-                "crates/lint/src/report.rs",
-                "crates/lint/src/syntax.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            // No extra seeds by default: the pub fns of `untrusted`
-            // files already cover the decode surface. Entries take the
-            // form "crates/net/src/openintel.rs::measure".
-            entry_points: Vec::new(),
-            skip_dirs: ["target", ".git", "fixtures", "tests", "benches", "examples"]
-                .map(String::from)
-                .to_vec(),
-        }
-    }
 }
 
 impl LintConfig {
@@ -463,8 +299,8 @@ pub fn lint_file(root: &Path, path: &Path, class: FileClass) -> io::Result<(Vec<
 /// package's `src/`. Test, bench, example and fixture trees are exempt
 /// by design — panicking there is idiomatic.
 ///
-/// Scopes come from `<root>/lint.toml` when the file exists (a
-/// malformed file is an error), [`LintConfig::default`] otherwise.
+/// Scopes come from `<root>/lint.toml`; a missing or malformed file
+/// is an error.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let config = LintConfig::load(root)?;
     lint_workspace_with(root, &config)
@@ -524,7 +360,8 @@ mod tests {
 
     #[test]
     fn classify_paths() {
-        let c = LintConfig::default();
+        let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let c = LintConfig::load(&repo_root).expect("the repository's lint.toml loads");
         let wire = c.classify("crates/dns/src/wire.rs");
         assert!(wire.untrusted && wire.wire_codec && !wire.crate_root);
         assert!(wire.bounded_loops, "parsers are in the R5 scope");

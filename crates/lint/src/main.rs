@@ -131,14 +131,13 @@ fn main() -> ExitCode {
             bounded_loops: true,
             deterministic: true,
         };
-        let mut total = 0usize;
+        let mut report = Report::default();
         for f in &strict_files {
             match lint_file(&root, f, class) {
-                Ok((diags, _)) => {
-                    for d in &diags {
-                        println!("{d}");
-                    }
-                    total += diags.len();
+                Ok((diags, allows)) => {
+                    report.diagnostics.extend(diags);
+                    report.files_checked += 1;
+                    report.allows_total += allows;
                 }
                 Err(e) => {
                     eprintln!("error: {}: {e}", f.display());
@@ -146,7 +145,13 @@ fn main() -> ExitCode {
                 }
             }
         }
-        return finish(total, 0, strict_files.len(), 0);
+        print!("{}", render(&format, &report, 0));
+        return finish(
+            report.diagnostics.len(),
+            0,
+            report.files_checked,
+            report.allows_total,
+        );
     }
 
     if let Some(path) = &stats_path {
@@ -203,11 +208,7 @@ fn main() -> ExitCode {
         (report.diagnostics, suppressed, stale) = bl.apply(diags);
     }
 
-    match format {
-        Format::Text => print!("{}", render_text(&report)),
-        Format::Json => print!("{}", render_json(&report, suppressed)),
-        Format::Sarif => print!("{}", render_sarif(&report)),
-    }
+    print!("{}", render(&format, &report, suppressed));
     for s in &stale {
         eprintln!("mx-lint: stale baseline entry (fixed finding — remove the line): {s}");
     }
@@ -217,6 +218,15 @@ fn main() -> ExitCode {
         report.files_checked,
         report.allows_total,
     )
+}
+
+/// The report in the `--format` the user asked for.
+fn render(format: &Format, report: &Report, suppressed: usize) -> String {
+    match format {
+        Format::Text => render_text(report),
+        Format::Json => render_json(report, suppressed),
+        Format::Sarif => render_sarif(report),
+    }
 }
 
 /// `--stats`: run the workspace pass twice and record wall times plus

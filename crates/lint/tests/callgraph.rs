@@ -12,17 +12,6 @@ fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-fn config() -> LintConfig {
-    LintConfig {
-        untrusted: Vec::new(),
-        wire_codecs: Vec::new(),
-        bounded_loops: Vec::new(),
-        deterministic: Vec::new(),
-        entry_points: Vec::new(),
-        skip_dirs: Vec::new(),
-    }
-}
-
 fn rules_of(report: &mx_lint::Report) -> Vec<Rule> {
     report.diagnostics.iter().map(|d| d.rule).collect()
 }
@@ -47,7 +36,7 @@ fn two_hop_cross_file_taint_lands_on_the_sink() {
             "pub(crate) fn deep(b: &[u8]) -> usize {\n    b.first().copied().map(usize::from).unwrap()\n}\n",
         ),
     ]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.entry_points = vec!["crates/a/src/input.rs::ingest".into()];
     let report = lint_sources(&srcs, &cfg);
     assert_eq!(rules_of(&report), [Rule::R8], "{:?}", report.diagnostics);
@@ -78,7 +67,7 @@ fn untrusted_pub_fns_seed_taint() {
             "pub(crate) fn helper(len: usize, padding: usize) -> usize { len + padding }\n",
         ),
     ]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.untrusted = vec!["crates/a/src/wire.rs".into()];
     let report = lint_sources(&srcs, &cfg);
     let r8: Vec<_> = report
@@ -104,7 +93,7 @@ fn unreachable_sink_is_quiet() {
             "pub(crate) fn orphan(v: Option<u8>) -> u8 { v.unwrap() }\n",
         ),
     ]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.entry_points = vec!["crates/a/src/input.rs::ingest".into()];
     let report = lint_sources(&srcs, &cfg);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
@@ -124,7 +113,7 @@ fn lint_allow_r8_suppresses_the_merged_finding() {
             "pub(crate) fn deep(v: Option<u8>) -> u8 {\n    v.unwrap() // lint:allow(R8): fixture exercises suppression\n}\n",
         ),
     ]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.entry_points = vec!["crates/a/src/input.rs::ingest".into()];
     let report = lint_sources(&srcs, &cfg);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
@@ -146,13 +135,13 @@ pub fn emit(m: &HashMap<String, u32>) -> u32 {
 }
 ";
     let srcs = sources(&[("crates/a/src/out.rs", src)]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.deterministic = vec!["crates/a/src/out.rs".into()];
     let report = lint_sources(&srcs, &cfg);
     assert_eq!(rules_of(&report), [Rule::R9], "{:?}", report.diagnostics);
     assert_eq!(report.diagnostics[0].line, 4);
 
-    let unscoped = lint_sources(&srcs, &config());
+    let unscoped = lint_sources(&srcs, &LintConfig::default());
     assert!(unscoped.is_clean(), "{:?}", unscoped.diagnostics);
 }
 
@@ -167,7 +156,7 @@ pub fn probe(m: &HashMap<String, u32>) {
 }
 ";
     let srcs = sources(&[("crates/a/src/out.rs", src)]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.deterministic = vec!["crates/a/src/out.rs".into()];
     let report = lint_sources(&srcs, &cfg);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
@@ -183,7 +172,7 @@ pub fn stamp() -> std::time::Instant {
 }
 ";
     let srcs = sources(&[("crates/a/src/out.rs", src)]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.deterministic = vec!["crates/a/src/out.rs".into()];
     let report = lint_sources(&srcs, &cfg);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
@@ -204,7 +193,7 @@ fn diagnostics_are_deterministically_ordered() {
             "pub(crate) fn deep(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
         ),
     ]);
-    let mut cfg = config();
+    let mut cfg = LintConfig::default();
     cfg.entry_points = vec!["crates/a/src/input.rs::ingest".into()];
     let a = lint_sources(&srcs, &cfg);
     let b = lint_sources(&srcs, &cfg);

@@ -6,7 +6,10 @@ use std::path::Path;
 
 use mx_lint::{lint_file, FileClass, Rule};
 
-fn fixture_diags() -> Vec<mx_lint::Diagnostic> {
+/// The fixture linted the way `mx-lint --file` lints it: as an
+/// untrusted wire codec in every scope. Returns the diagnostics and
+/// the number of `lint:allow` directives.
+fn fixture_lint() -> (Vec<mx_lint::Diagnostic>, usize) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let path = root.join("fixtures/violations.rs");
     let class = FileClass {
@@ -16,13 +19,12 @@ fn fixture_diags() -> Vec<mx_lint::Diagnostic> {
         bounded_loops: true,
         deterministic: true,
     };
-    let (diags, _) = lint_file(root, &path, class).expect("fixture readable");
-    diags
+    lint_file(root, &path, class).expect("fixture readable")
 }
 
 #[test]
 fn every_rule_fires_on_the_fixture() {
-    let diags = fixture_diags();
+    let (diags, _) = fixture_lint();
     for rule in [Rule::R0, Rule::R1, Rule::R2, Rule::R3, Rule::R5, Rule::R6, Rule::R9] {
         assert!(
             diags.iter().any(|d| d.rule == rule),
@@ -33,7 +35,7 @@ fn every_rule_fires_on_the_fixture() {
 
 #[test]
 fn fixture_counts_are_exact() {
-    let diags = fixture_diags();
+    let (diags, _) = fixture_lint();
     let count = |r: Rule| diags.iter().filter(|d| d.rule == r).count();
     // 4 panicking constructs + 1 indexing site.
     assert_eq!(count(Rule::R1), 5, "{diags:#?}");
@@ -75,5 +77,30 @@ fn cli_exits_nonzero_on_fixture_and_zero_on_workspace() {
         "workspace must be lint-clean; output:\n{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Strict `--file` mode honours `--format`: the JSON it prints is the
+/// `render_json` of exactly the diagnostics `lint_file` finds.
+#[test]
+fn cli_file_mode_honours_format_json() {
+    let lint_bin = env!("CARGO_BIN_EXE_mx-lint");
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let out = std::process::Command::new(lint_bin)
+        .current_dir(manifest)
+        .args(["--file", "fixtures/violations.rs", "--format", "json"])
+        .output()
+        .expect("run mx-lint on fixture");
+    assert_eq!(out.status.code(), Some(1), "fixture must fail the lint");
+
+    let (diagnostics, allows_total) = fixture_lint();
+    let report = mx_lint::Report {
+        diagnostics,
+        files_checked: 1,
+        allows_total,
+    };
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        mx_lint::report::render_json(&report, 0)
     );
 }

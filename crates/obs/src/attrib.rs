@@ -20,9 +20,10 @@
 //!
 //! Everything derived from sim totals is deterministic and appears in
 //! [`Attribution::deterministic_json`]; host-derived numbers are
-//! per-run and only appear in the full/human renders. Tree walks are
-//! depth-bounded by [`MAX_TREE_DEPTH`] like the exporter's dump —
-//! no unbounded recursion on registry contents.
+//! per-run and only appear in [`Attribution::human_table`] and the
+//! host-valued [`Attribution::folded_stacks`]. Tree walks are
+//! depth-bounded by [`MAX_TREE_DEPTH`] — no unbounded recursion on
+//! registry contents.
 
 use crate::json::Value;
 use crate::names;
@@ -111,8 +112,8 @@ impl Attribution {
         rows.sort_by(|a, b| a.stage.cmp(b.stage));
 
         // Resolve parents: a parent absent from the snapshot roots the
-        // stage, matching the exporter's dump tree. Then fix depths by
-        // walking the (acyclic-by-bound) parent chain.
+        // stage. Then fix depths by walking the (acyclic-by-bound)
+        // parent chain.
         let stage_names: Vec<&'static str> = rows.iter().map(|r| r.stage).collect();
         let present = |name: &str| stage_names.binary_search_by(|s| (*s).cmp(name)).is_ok();
         for r in rows.iter_mut() {
@@ -216,7 +217,7 @@ impl Attribution {
         }
     }
 
-    fn rows_json(&self, full: bool) -> Value {
+    fn rows_json(&self) -> Value {
         let mut arr = Value::arr();
         for r in &self.rows {
             let mut o = Value::obj();
@@ -230,10 +231,6 @@ impl Attribution {
             o.insert("sim_exclusive", r.sim_exclusive.into());
             o.insert("sim_inclusive", r.sim_inclusive.into());
             o.insert("parallel", r.parallel.into());
-            if full {
-                o.insert("host_exclusive_ns", r.host_exclusive_ns.into());
-                o.insert("host_inclusive_ns", r.host_inclusive_ns.into());
-            }
             arr.push(o);
         }
         arr
@@ -264,32 +261,7 @@ impl Attribution {
             None => root.insert("amdahl_max_speedup", Value::Null),
         }
         root.insert("critical_path_sim", Self::path_json(&self.critical_path_sim));
-        root.insert("stages", self.rows_json(false));
-        root.to_string_pretty()
-    }
-
-    /// The full export: deterministic fields plus per-run host-time
-    /// attribution.
-    pub fn full_json(&self) -> String {
-        let mut root = Value::obj();
-        root.insert("schema", ATTRIB_SCHEMA.into());
-        root.insert("deterministic", false.into());
-        root.insert("total_sim_secs", self.total_sim.into());
-        root.insert("serial_sim_secs", self.serial_sim.into());
-        root.insert("serial_fraction_sim", self.serial_fraction_sim().into());
-        root.insert("total_host_ns", self.total_host_ns.into());
-        root.insert("serial_host_ns", self.serial_host_ns.into());
-        root.insert("serial_fraction_host", self.serial_fraction_host().into());
-        match self.amdahl_max_speedup() {
-            Some(v) => root.insert("amdahl_max_speedup", v.into()),
-            None => root.insert("amdahl_max_speedup", Value::Null),
-        }
-        root.insert("critical_path_sim", Self::path_json(&self.critical_path_sim));
-        root.insert(
-            "critical_path_host",
-            Self::path_json(&self.critical_path_host),
-        );
-        root.insert("stages", self.rows_json(true));
+        root.insert("stages", self.rows_json());
         root.to_string_pretty()
     }
 
@@ -543,11 +515,6 @@ mod tests {
         assert_eq!(
             doc.get("schema").and_then(crate::json::Value::as_str),
             Some(ATTRIB_SCHEMA)
-        );
-        let full = crate::json::parse(&a.full_json()).expect("full JSON parses");
-        assert_eq!(
-            full.get("deterministic").map(|v| matches!(v, Value::Bool(false))),
-            Some(true)
         );
         assert!(!a.human_table().is_empty());
     }

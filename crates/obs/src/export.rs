@@ -4,10 +4,9 @@
 //! [`Snapshot::deterministic_json`] renders the schema-versioned form
 //! the CI gate diffs: per-run metrics and host-time totals are
 //! excluded, so the bytes are identical at any thread count on the
-//! same seed. [`Snapshot::full_json`] includes everything, and
-//! [`Snapshot::human_dump`] renders the stage tree plus a metrics
-//! table for terminals. [`validate_snapshot`] re-parses an exported
-//! document and checks it against the `mx-obs/1` schema.
+//! same seed. [`Snapshot::prometheus_text`] renders the same data as
+//! a Prometheus text exposition. [`validate_snapshot`] re-parses an
+//! exported document and checks it against the `mx-obs/1` schema.
 
 use crate::json::{self, JsonError, Value};
 use crate::metrics::{self, Class, MetricData, MetricSnapshot};
@@ -15,10 +14,6 @@ use crate::span::{self, StageSnapshot};
 
 /// The exporter schema identifier carried in every snapshot.
 pub const SCHEMA: &str = "mx-obs/1";
-
-/// Maximum stage-tree depth the human dump renders; deeper chains are
-/// flattened at the bound (the registered tree is 3 levels).
-const MAX_TREE_DEPTH: usize = 16;
 
 /// A merged view of every registered metric and stage, name-sorted.
 #[derive(Debug, Clone)]
@@ -42,30 +37,17 @@ impl Snapshot {
     /// host time. Byte-identical across thread counts and repeat runs
     /// on the same input.
     pub fn deterministic_json(&self) -> String {
-        self.render(false).to_string_pretty()
-    }
-
-    /// The full export: adds per-run metrics (tagged with their
-    /// class) and per-stage host nanoseconds.
-    pub fn full_json(&self) -> String {
-        self.render(true).to_string_pretty()
-    }
-
-    fn render(&self, full: bool) -> Value {
         let mut root = Value::obj();
         root.insert("schema", SCHEMA.into());
-        root.insert("deterministic", (!full).into());
+        root.insert("deterministic", true.into());
         let mut marr = Value::arr();
         for m in &self.metrics {
-            if !full && m.class == Class::PerRun {
+            if m.class == Class::PerRun {
                 continue;
             }
             let mut o = Value::obj();
             o.insert("name", m.name.into());
             o.insert("kind", m.kind.label().into());
-            if full {
-                o.insert("class", m.class.label().into());
-            }
             match &m.data {
                 MetricData::Counter(v) | MetricData::Gauge(v) => {
                     o.insert("value", (*v).into());
@@ -102,13 +84,10 @@ impl Snapshot {
             }
             o.insert("enters", s.enters.into());
             o.insert("sim_secs", s.sim_secs.into());
-            if full {
-                o.insert("host_nanos", s.host_nanos.into());
-            }
             sarr.push(o);
         }
         root.insert("stages", sarr);
-        root
+        root.to_string_pretty()
     }
 
     /// Prometheus text exposition of the *stable* metrics plus the
@@ -170,80 +149,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// A terminal-friendly dump: the stage tree (with host time) then
-    /// a metrics table, per-run entries marked `~`.
-    pub fn human_dump(&self) -> String {
-        let mut out = String::new();
-        out.push_str("mx-obs snapshot (schema ");
-        out.push_str(SCHEMA);
-        out.push_str(")\n\nstages:\n");
-        // Roots are stages whose parent is unset or unregistered.
-        let known: Vec<&str> = self.stages.iter().map(|s| s.name).collect();
-        for (i, s) in self.stages.iter().enumerate() {
-            let is_root = match s.parent {
-                None => true,
-                Some(p) => !known.contains(&p),
-            };
-            if is_root {
-                self.dump_stage(&mut out, i, 0);
-            }
-        }
-        out.push_str("\nmetrics:\n");
-        for m in &self.metrics {
-            let mark = if m.class == Class::PerRun { "~" } else { " " };
-            let line = match &m.data {
-                MetricData::Counter(v) | MetricData::Gauge(v) => {
-                    format!("{mark} {:<34} {:<9} {v}\n", m.name, m.kind.label())
-                }
-                MetricData::Histogram {
-                    bounds,
-                    buckets,
-                    sum,
-                    count,
-                } => {
-                    let cells: Vec<String> = buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| match bounds.get(i) {
-                            Some(b) => format!("<={b}:{c}"),
-                            None => format!(">:{c}"),
-                        })
-                        .collect();
-                    format!(
-                        "{mark} {:<34} {:<9} count={count} sum={sum} [{}]\n",
-                        m.name,
-                        m.kind.label(),
-                        cells.join(" ")
-                    )
-                }
-            };
-            out.push_str(&line);
-        }
-        out
-    }
-
-    fn dump_stage(&self, out: &mut String, idx: usize, depth: usize) {
-        let Some(s) = self.stages.get(idx) else {
-            return;
-        };
-        let indent = "  ".repeat(depth.min(MAX_TREE_DEPTH));
-        let label = format!("{indent}{}", s.name);
-        out.push_str(&format!(
-            "  {label:<36} enters={:<6} sim={}s host={}\n",
-            s.enters,
-            s.sim_secs,
-            format_host(s.host_nanos)
-        ));
-        if depth >= MAX_TREE_DEPTH {
-            return;
-        }
-        for (i, child) in self.stages.iter().enumerate() {
-            if child.parent == Some(s.name) {
-                self.dump_stage(out, i, depth + 1);
-            }
-        }
-    }
 }
 
 /// Map a dotted metric name to Prometheus form: `mx_` prefix, dots to
@@ -258,20 +163,6 @@ fn prom_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Render host nanoseconds with a unit a human can read.
-fn format_host(nanos: u64) -> String {
-    let n = nanos as f64;
-    if nanos < 1_000 {
-        format!("{nanos}ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.1}us", n / 1.0e3)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.1}ms", n / 1.0e6)
-    } else {
-        format!("{:.2}s", n / 1.0e9)
-    }
 }
 
 /// Why an exported document failed schema validation.
@@ -312,9 +203,8 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-/// Check an exported document against the `mx-obs/1` schema. Accepts
-/// both the deterministic and the full form (extra fields like
-/// `class`/`host_nanos` are allowed; required ones are not optional).
+/// Check an exported document against the `mx-obs/1` schema. Extra
+/// fields are allowed; required ones are not optional.
 pub fn validate_snapshot(text: &str) -> Result<(), SchemaError> {
     let doc = json::parse(text).map_err(SchemaError::Parse)?;
     if !matches!(doc, Value::Obj(_)) {
@@ -420,31 +310,10 @@ mod tests {
         }
         let snap = Snapshot::capture();
         let det = snap.deterministic_json();
-        let full = snap.full_json();
         validate_snapshot(&det).expect("deterministic form validates");
-        validate_snapshot(&full).expect("full form validates");
         assert!(det.contains("test.export.stable"));
         assert!(!det.contains("test.export.volatile"), "per-run excluded");
         assert!(!det.contains("host_nanos"), "host time excluded");
-        assert!(full.contains("test.export.volatile"));
-        assert!(full.contains("host_nanos"));
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn human_dump_renders_tree_and_marks_per_run() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        crate::reset();
-        Counter::register("test.dump.volatile", Class::PerRun).add(1);
-        let root = Stage::register("test.dump.root", None);
-        let child = Stage::register("test.dump.root.child", Some("test.dump.root"));
-        drop(root.enter());
-        drop(child.enter());
-        let text = Snapshot::capture().human_dump();
-        assert!(text.contains("test.dump.root"));
-        assert!(text.contains("  test.dump.root.child"), "{text}");
-        assert!(text.contains("~ test.dump.volatile"), "{text}");
         crate::set_enabled(false);
     }
 

@@ -49,12 +49,12 @@ pub enum Class {
     Stable,
     /// Value legitimately varies run-to-run (pool probes, host-time
     /// derived, cache ratios). Excluded from the deterministic
-    /// snapshot; still shown in the full dump.
+    /// snapshot and the Prometheus text.
     PerRun,
 }
 
 impl Class {
-    /// The lowercase label used in the full export.
+    /// The lowercase label (the Chrome-trace event category).
     pub fn label(self) -> &'static str {
         match self {
             Class::Stable => "stable",

@@ -196,17 +196,6 @@ impl Stage {
     /// and bump the enter count (when tracing is on; the enter is
     /// counted whenever recording is enabled).
     pub fn instant(&self, t: u64, arg: u64) {
-        self.instant_with_class(t, arg, Class::Stable);
-    }
-
-    /// A per-run point event: same shape as [`Self::instant`] but
-    /// excluded from the deterministic export — for marks whose count
-    /// or placement varies with scheduling.
-    pub fn instant_volatile(&self, t: u64, arg: u64) {
-        self.instant_with_class(t, arg, Class::PerRun);
-    }
-
-    fn instant_with_class(&self, t: u64, arg: u64, class: Class) {
         if !enabled() {
             return;
         }
@@ -215,7 +204,7 @@ impl Stage {
             trace::record(TraceEvent {
                 stage: self.0.name,
                 kind: EventKind::Instant,
-                class,
+                class: Class::Stable,
                 t,
                 dur: 0,
                 arg,

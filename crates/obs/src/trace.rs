@@ -15,7 +15,7 @@
 //!   fields: a sim-time stamp `t`, a sim duration `dur` and a tag
 //!   `arg`, each a pure function of the input. They form the
 //!   deterministic export.
-//! - **Per-run events** ([`EventKind::Span`], volatile instants) carry
+//! - **Per-run events** ([`EventKind::Span`]) carry
 //!   monotonic host nanoseconds and exist for the Chrome-trace and
 //!   flamegraph views; they never reach the deterministic export.
 //!
@@ -133,7 +133,7 @@ impl TraceEvent {
     /// The canonical multiset order: built only from deterministic
     /// fields first, so the sorted stable subsequence is
     /// thread-invariant; per-run fields only break ties among
-    /// volatile duplicates to keep full exports stable per run.
+    /// per-run duplicates to keep the Chrome-trace view stable per run.
     fn canon_key(&self) -> (u64, &'static str, u8, u64, u64, u8, u64, u64, u64) {
         let class_code = match self.class {
             Class::Stable => 0u8,
@@ -330,34 +330,6 @@ impl TraceSnapshot {
         root.to_string_pretty()
     }
 
-    /// The full export: every event with its class and per-run fields,
-    /// plus the ring accounting. Stable within one run, per-run across
-    /// runs (host time).
-    pub fn full_json(&self) -> String {
-        let mut root = Value::obj();
-        root.insert("schema", TRACE_SCHEMA.into());
-        root.insert("deterministic", false.into());
-        root.insert("recorded", self.recorded.into());
-        root.insert("recorded_stable", self.recorded_stable.into());
-        root.insert("dropped", self.dropped.into());
-        let mut arr = Value::arr();
-        for e in &self.events {
-            let mut o = Value::obj();
-            o.insert("t", e.t.into());
-            o.insert("stage", e.stage.into());
-            o.insert("kind", e.kind.label().into());
-            o.insert("class", e.class.label().into());
-            o.insert("arg", e.arg.into());
-            o.insert("dur", e.dur.into());
-            o.insert("shard", e.shard.into());
-            o.insert("host_start_ns", e.host_start_ns.into());
-            o.insert("host_dur_ns", e.host_dur_ns.into());
-            arr.push(o);
-        }
-        root.insert("events", arr);
-        root.to_string_pretty()
-    }
-
     /// Chrome Trace Event Format (load in `chrome://tracing` or
     /// Perfetto). Host-timed spans use their monotonic nanoseconds;
     /// sim-timed events place one sim tick per microsecond-millisecond
@@ -445,9 +417,9 @@ impl std::fmt::Display for TraceSchemaError {
 
 impl std::error::Error for TraceSchemaError {}
 
-/// Check an exported trace document (deterministic or full form)
-/// against the `mx-obs-trace/1` schema: required fields present and
-/// numeric, kinds from the closed set, events in canonical order.
+/// Check an exported trace document against the `mx-obs-trace/1`
+/// schema: required fields present and numeric, kinds from the closed
+/// set, events in canonical order.
 pub fn validate_trace(text: &str) -> Result<(), TraceSchemaError> {
     let doc = json::parse(text).map_err(TraceSchemaError::Parse)?;
     if !matches!(doc, Value::Obj(_)) {
@@ -535,7 +507,6 @@ mod tests {
         );
         let det = snap.deterministic_json();
         validate_trace(&det).expect("deterministic form validates");
-        validate_trace(&snap.full_json()).expect("full form validates");
         crate::set_trace_enabled(false);
         crate::set_enabled(false);
     }

@@ -12,9 +12,10 @@
 //!   a 4xx status — never a panic. The dynamic twin lives in
 //!   `tests/malformed_input.rs`.
 //! - **Degrade, don't die.** The robustness kernel ([`server`]) gives
-//!   every connection read deadlines driven by a pluggable [`Clock`],
-//!   bounds the in-flight request queue with explicit load shedding
-//!   (503 + `Retry-After` once it is full), caps concurrent
+//!   every connection read deadlines on the event loop's simulated
+//!   millisecond timeline (never a host clock), bounds the in-flight
+//!   request queue with explicit load shedding (503 + `Retry-After`
+//!   once it is full), caps concurrent
 //!   connections, evicts slow-loris clients, reaps idle keep-alives,
 //!   and drains gracefully on shutdown.
 //! - **Chaos-tested.** [`mx_net::ConnFaultPlan`] extends the fault
@@ -68,80 +69,8 @@ pub mod router;
 pub mod server;
 pub mod transport;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 pub use http::{HttpError, Method, Parsed, Request, RequestParser};
 pub use render::{etag_value, Response};
 pub use router::{store_etag, ServeState};
 pub use server::{RunReport, Server, ServerConfig};
 pub use transport::{apply_chaos, ClientConn, CloseReason, ConnTranscript, Trace};
-
-/// A pluggable time source for connection deadlines, in milliseconds.
-///
-/// The server never reads a host clock (that would couple response
-/// timing — and therefore eviction decisions — to scheduling): in
-/// production the harness advances a [`SimMs`] as transport events
-/// arrive, and tests drive the same clock explicitly. Any
-/// `mx_dns::SimClock` can serve through the [`Clock`] impl on
-/// [`SimClockMs`].
-pub trait Clock: Send + Sync {
-    /// Current time in milliseconds.
-    fn now_ms(&self) -> u64;
-}
-
-/// A shared millisecond clock advanced by the event loop (cloning
-/// shares the instant).
-#[derive(Debug, Clone, Default)]
-pub struct SimMs(Arc<AtomicU64>);
-
-impl SimMs {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance to an absolute time; never moves backwards.
-    pub fn advance_to(&self, ms: u64) {
-        self.0.fetch_max(ms, Ordering::Relaxed);
-    }
-}
-
-impl Clock for SimMs {
-    fn now_ms(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Adapter exposing the simulation-wide [`mx_dns::SimClock`] (seconds
-/// granularity) as a serve-side [`Clock`].
-#[derive(Debug, Clone)]
-pub struct SimClockMs(pub mx_dns::SimClock);
-
-impl Clock for SimClockMs {
-    fn now_ms(&self) -> u64 {
-        self.0.now().secs().saturating_mul(1000)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sim_ms_shares_and_is_monotonic() {
-        let c = SimMs::new();
-        let c2 = c.clone();
-        c.advance_to(40);
-        c2.advance_to(10); // never backwards
-        assert_eq!(c.now_ms(), 40);
-        assert_eq!(c2.now_ms(), 40);
-    }
-
-    #[test]
-    fn sim_clock_adapter_scales_seconds() {
-        let dns = mx_dns::SimClock::new();
-        dns.advance_secs(3);
-        assert_eq!(SimClockMs(dns).now_ms(), 3000);
-    }
-}

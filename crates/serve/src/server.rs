@@ -47,7 +47,6 @@ use crate::router::{
     cacheable, head_only, json_cache_key, lookup_response, row_cache_probe, Endpoint, ServeState,
 };
 use crate::transport::{CloseReason, ConnTranscript, Trace};
-use crate::{Clock, SimMs};
 use mx_obs::names;
 use mx_store::StoreReader;
 
@@ -225,12 +224,11 @@ fn write_tag(conn_id: u64, seq: u64, status: u16) -> u64 {
     ((conn_id & 0xFFFF) << 32) | ((seq & 0xFFFF) << 16) | u64::from(status)
 }
 
-/// The server: store state, caches, clock, and the robustness kernel.
+/// The server: store state, caches, and the robustness kernel.
 pub struct Server<'a> {
     state: ServeState<'a>,
     cfg: ServerConfig,
     caches: Caches,
-    clock: SimMs,
 }
 
 impl<'a> Server<'a> {
@@ -245,15 +243,7 @@ impl<'a> Server<'a> {
             state: ServeState::new(reader),
             cfg,
             caches: Caches::new(),
-            clock: SimMs::new(),
         }
-    }
-
-    /// The server's clock, advanced as simulated events process.
-    /// Deadline decisions read time only through the [`Clock`] trait,
-    /// so tests can observe exactly what the kernel saw.
-    pub fn clock(&self) -> &dyn Clock {
-        &self.clock
     }
 
     /// Execute a trace to completion (including graceful drain) and
@@ -331,7 +321,6 @@ impl<'s, 'a> Engine<'s, 'a> {
         // one tick, so a response never races the byte that follows it
         // and a byte arriving exactly at a deadline counts as progress.
         while let Some(now) = self.next_event_time() {
-            self.srv.clock.advance_to(now);
             self.report.end_ms = now;
             if let Some(jobs) = self.completions.remove(&now) {
                 self.complete_batch(jobs, now);

@@ -41,6 +41,24 @@ cargo run --quiet --release -p mx-lint -- --format sarif > /tmp/mx_lint_b.sarif
 cmp /tmp/mx_lint_a.sarif /tmp/mx_lint_b.sarif
 rm -f /tmp/mx_lint_a.sarif /tmp/mx_lint_b.sarif
 
+echo "==> mx-lint strict mode honours --format (two --file json runs on the firing fixture: exit 1, byte-identical, JSON)"
+for run in a b; do
+    status=0
+    cargo run --quiet --release -p mx-lint -- --file crates/lint/fixtures/violations.rs --format json \
+        > /tmp/mx_lint_strict_$run.json || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "mx-lint --file on the fixture exited $status, expected 1"
+        exit 1
+    fi
+done
+cmp /tmp/mx_lint_strict_a.json /tmp/mx_lint_strict_b.json
+if [ "$(head -c 1 /tmp/mx_lint_strict_a.json)" != "{" ]; then
+    echo "mx-lint --file --format json did not print JSON:"
+    head -n 3 /tmp/mx_lint_strict_a.json
+    exit 1
+fi
+rm -f /tmp/mx_lint_strict_a.json /tmp/mx_lint_strict_b.json
+
 echo "==> mx-lint baseline drift (HEAD needs no baseline)"
 cargo run --quiet --release -p mx-lint -- --write-baseline /tmp/mx_lint_baseline.txt
 test ! -s /tmp/mx_lint_baseline.txt

@@ -80,3 +80,27 @@ fn baseline_is_empty_at_head() {
     assert_eq!(suppressed, 0);
     assert!(stale.is_empty(), "empty baseline cannot have stale entries");
 }
+
+/// `classify` matches scope entries by path suffix, so an entry naming
+/// a deleted or renamed file silently matches nothing. Every path in
+/// every `lint.toml` scope list must name a file under the workspace
+/// root.
+#[test]
+fn every_lint_toml_scope_entry_names_an_existing_file() {
+    let root = workspace_root();
+    let config = mx_lint::LintConfig::load(root).expect("lint.toml loads");
+    let entry_files = config
+        .entry_points
+        .iter()
+        .map(|e| e.split("::").next().unwrap_or(e).to_string());
+    let scoped = config
+        .untrusted
+        .iter()
+        .chain(&config.wire_codecs)
+        .chain(&config.bounded_loops)
+        .chain(&config.deterministic)
+        .cloned()
+        .chain(entry_files);
+    let stale: Vec<String> = scoped.filter(|p| !root.join(p).is_file()).collect();
+    assert!(stale.is_empty(), "lint.toml scopes missing files: {stale:?}");
+}
