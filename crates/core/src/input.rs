@@ -161,25 +161,6 @@ impl ObservationSet {
         self.ips.get(&ip)
     }
 
-    /// Iterate all (domain, target) pairs.
-    pub fn targets(&self) -> impl Iterator<Item = (&Name, &MxTargetObs)> {
-        self.domains
-            .iter()
-            .flat_map(|d| d.mx.targets().iter().map(move |t| (&d.domain, t)))
-    }
-
-    /// The distinct MX exchange names, with the domains pointing at each
-    /// through a *primary* (most-preferred) MX record.
-    pub fn primary_mx_users(&self) -> HashMap<&Name, Vec<&Name>> {
-        let mut map: HashMap<&Name, Vec<&Name>> = HashMap::new();
-        for d in &self.domains {
-            for t in d.mx.primary_targets() {
-                map.entry(&t.exchange).or_default().push(&d.domain);
-            }
-        }
-        map
-    }
-
     /// Does the domain have any primary MX target with a live SMTP server?
     pub fn domain_has_smtp(&self, d: &DomainObservation) -> bool {
         d.mx.primary_targets().iter().any(|t| {
@@ -213,30 +194,6 @@ mod tests {
         assert_eq!(mx.primary_targets().len(), 2);
         assert_eq!(MxObservation::NoMx.primary_targets().len(), 0);
         assert_eq!(MxObservation::NullMx.targets().len(), 0);
-    }
-
-    #[test]
-    fn primary_mx_users_index() {
-        let set = ObservationSet {
-            domains: vec![
-                DomainObservation {
-                    domain: dns_name!("one.test"),
-                    mx: MxObservation::Targets(vec![
-                        target(1, "mx.shared.test", &[]),
-                        target(9, "backup.test", &[]),
-                    ]),
-                },
-                DomainObservation {
-                    domain: dns_name!("two.test"),
-                    mx: MxObservation::Targets(vec![target(1, "mx.shared.test", &[])]),
-                },
-            ],
-            ips: HashMap::new(),
-            acquisition: AcquisitionReport::default(),
-        };
-        let users = set.primary_mx_users();
-        assert_eq!(users[&dns_name!("mx.shared.test")].len(), 2);
-        assert!(!users.contains_key(&dns_name!("backup.test")), "non-primary excluded");
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //!    preferred MX record(s), credit split across distinct IDs at equal
 //!    preference.
 //!
+//! The five steps run through one staged [`Engine`]: [`Pipeline::run`]
+//! applies a fresh one once, and incremental callers keep one across
+//! changes so only the attributions a change can reach are recomputed.
+//!
 //! The three baselines the paper compares against (§3.3) are the same
 //! pipeline with features disabled: **MX-only**, **cert-based** and
 //! **banner-based** — see [`Strategy`].
@@ -61,6 +65,6 @@ pub use ipid::{IpIds, ProviderId};
 pub use misid::{Correction, CorrectionReason, ProviderKnowledge, ProviderProfile};
 pub use mxid::{IdSource, MxAssignment};
 pub use pattern::Pattern;
-pub use pipeline::{InferenceResult, Pipeline, Strategy};
+pub use pipeline::{Applied, Engine, InferenceResult, Pipeline, Strategy};
 pub use spf::{eventual_providers, Mechanism, Qualifier, SpfRecord};
-pub use store_io::{assignment_from_row, result_rows};
+pub use store_io::{assignment_from_row, assignment_rows, result_rows};

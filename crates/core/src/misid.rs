@@ -198,37 +198,38 @@ enum Decision {
     /// Examined, heuristics found nothing to correct.
     Examined,
     /// Examined and a heuristic fired.
-    Correct(CorrectionReason),
+    Correct(Correction),
 }
 
 /// Run the misidentification check over MX assignments, mutating them in
-/// place and returning the report.
-///
-/// The per-exchange examination (confidence score, claimed hostnames,
-/// pattern matching, AS membership) only *reads* shared state, so it fans
-/// out over the pool; each exchange's decision is independent of every
-/// other's. Corrections are then applied serially in sorted-name order —
-/// the same order the serial implementation used — so the mutated
-/// assignments and the report are identical at any thread count.
+/// place and returning the report: every assignment is examined with the
+/// counters computed over `obs`, then every correction found is applied.
 pub fn check(
     assignments: &mut HashMap<Name, MxAssignment>,
     obs: &ObservationSet,
     knowledge: &ProviderKnowledge,
     psl: &PublicSuffixList,
 ) -> MisidReport {
-    let confidence = Confidence::compute(obs);
-    check_with_confidence(assignments, obs, knowledge, psl, &confidence)
+    let report = examine(assignments, obs, knowledge, psl, &Confidence::compute(obs));
+    for c in &report.corrections {
+        if let Some(a) = assignments.get_mut(&c.exchange) {
+            correct(a, c);
+        }
+    }
+    report
 }
 
-/// [`check`] with the confidence counters supplied by the caller.
+/// Decide the misidentification check for every assignment without
+/// changing any: the report lists the examined exchanges and the
+/// corrections [`correct`] would apply, in sorted-name order.
 ///
-/// Incremental drivers already hold a fresh [`Confidence`] for the same
-/// observation set (they diff it between batches); this entry point lets
-/// them run the decision/apply phases without recomputing the counters.
-/// Passing the counters computed by [`Confidence::compute`] over the same
-/// `obs` makes this byte-for-byte identical to [`check`].
-pub fn check_with_confidence(
-    assignments: &mut HashMap<Name, MxAssignment>,
+/// The per-exchange examination (confidence score, claimed hostnames,
+/// pattern matching, AS membership) only *reads* shared state, so it fans
+/// out over the pool; each exchange's decision is independent of every
+/// other's, which is also why a run over a subset of the assignments
+/// decides that subset exactly as a run over all of them would.
+pub(crate) fn examine(
+    assignments: &HashMap<Name, MxAssignment>,
     obs: &ObservationSet,
     knowledge: &ProviderKnowledge,
     psl: &PublicSuffixList,
@@ -236,109 +237,100 @@ pub fn check_with_confidence(
 ) -> MisidReport {
     let mut report = MisidReport::default();
 
-    let mut names: Vec<Name> = assignments.keys().cloned().collect();
-    names.sort();
+    let mut entries: Vec<(&Name, &MxAssignment)> = assignments.iter().collect();
+    entries.sort_unstable_by_key(|&(name, _)| name);
 
     // Decision phase: read-only, parallel per exchange.
-    let decisions: Vec<Decision> = {
-        let assignments = &*assignments;
-        mx_par::par_map(&names, |name| {
-            let Some(a) = assignments.get(name) else {
-                return Decision::Skip;
-            };
-            // Only SMTP-derived assignments to known large providers are
-            // candidates; the MX fallback needs no check.
-            if a.source == IdSource::MxRecord {
-                return Decision::Skip;
-            }
-            let Some(profile) = knowledge.profiles.get(&a.provider) else {
-                return Decision::Skip;
-            };
-            // High-confidence assignments are trusted.
-            let score = a
-                .addrs
-                .iter()
-                .map(|&ip| confidence.score(obs, ip))
-                .max()
-                .unwrap_or(0);
-            if score >= knowledge.confidence_threshold {
-                return Decision::Skip;
-            }
-
-            let claimed = a.provider.clone();
-            let mut correction: Option<CorrectionReason> = None;
-
-            // Heuristic 1: VPS hostname pattern on the cert/banner host.
-            'outer: for host in claimed_hosts(obs, a) {
-                for pat in &profile.dedicated_patterns {
-                    if pat.matches(&host) {
-                        // Provider-operated shape: trusted, stop examining.
-                        break 'outer;
-                    }
-                }
-                for pat in &profile.vps_patterns {
-                    if pat.matches(&host) {
-                        correction = Some(CorrectionReason::VpsPattern {
-                            host: host.clone(),
-                            pattern: pat.source().to_string(),
-                        });
-                        break 'outer;
-                    }
-                }
-            }
-
-            // Heuristic 2: AS mismatch for the claimed provider.
-            if correction.is_none() && !profile.asns.is_empty() {
-                let in_as = a.addrs.iter().any(|ip| {
-                    obs.ips
-                        .get(ip)
-                        .and_then(|o| o.asn)
-                        .is_some_and(|asn| profile.asns.contains(&asn))
-                });
-                if !in_as {
-                    let asn = a
-                        .addrs
-                        .first()
-                        .and_then(|ip| obs.ips.get(ip))
-                        .and_then(|o| o.asn);
-                    correction =
-                        Some(CorrectionReason::AsMismatch { claimed: claimed.clone(), asn });
-                }
-            }
-
-            match correction {
-                Some(reason) => Decision::Correct(reason),
-                None => Decision::Examined,
-            }
-        })
-    };
-
-    // Apply phase: serial, in sorted-name order.
-    for (name, decision) in names.into_iter().zip(decisions) {
-        let reason = match decision {
-            Decision::Skip => continue,
-            Decision::Examined => {
-                report.examined.push(name);
-                continue;
-            }
-            Decision::Correct(reason) => {
-                report.examined.push(name.clone());
-                reason
-            }
+    let decisions: Vec<Decision> = mx_par::par_map(&entries, |&(_, a)| {
+        // Only SMTP-derived assignments to known large providers are
+        // candidates; the MX fallback needs no check.
+        if a.source == IdSource::MxRecord {
+            return Decision::Skip;
+        }
+        let Some(profile) = knowledge.profiles.get(&a.provider) else {
+            return Decision::Skip;
         };
-        let a = assignments.get_mut(&name).expect("key exists");
-        let new_id = mx_fallback_id(&a.exchange, psl);
-        report.corrections.push(Correction {
-            exchange: a.exchange.clone(),
-            old: a.provider.clone(),
-            new: new_id.clone(),
-            reason,
-        });
-        a.provider = new_id;
-        a.source = IdSource::MxRecord;
-        a.corrected = true;
+        // High-confidence assignments are trusted.
+        let score = a
+            .addrs
+            .iter()
+            .map(|&ip| confidence.score(obs, ip))
+            .max()
+            .unwrap_or(0);
+        if score >= knowledge.confidence_threshold {
+            return Decision::Skip;
+        }
+
+        let mut correction: Option<CorrectionReason> = None;
+
+        // Heuristic 1: VPS hostname pattern on the cert/banner host.
+        'outer: for host in claimed_hosts(obs, a) {
+            for pat in &profile.dedicated_patterns {
+                if pat.matches(&host) {
+                    // Provider-operated shape: trusted, stop examining.
+                    break 'outer;
+                }
+            }
+            for pat in &profile.vps_patterns {
+                if pat.matches(&host) {
+                    correction = Some(CorrectionReason::VpsPattern {
+                        host: host.clone(),
+                        pattern: pat.source().to_string(),
+                    });
+                    break 'outer;
+                }
+            }
+        }
+
+        // Heuristic 2: AS mismatch for the claimed provider.
+        if correction.is_none() && !profile.asns.is_empty() {
+            let in_as = a.addrs.iter().any(|ip| {
+                obs.ips
+                    .get(ip)
+                    .and_then(|o| o.asn)
+                    .is_some_and(|asn| profile.asns.contains(&asn))
+            });
+            if !in_as {
+                let asn = a
+                    .addrs
+                    .first()
+                    .and_then(|ip| obs.ips.get(ip))
+                    .and_then(|o| o.asn);
+                correction =
+                    Some(CorrectionReason::AsMismatch { claimed: a.provider.clone(), asn });
+            }
+        }
+
+        match correction {
+            Some(reason) => Decision::Correct(Correction {
+                exchange: a.exchange.clone(),
+                old: a.provider.clone(),
+                new: mx_fallback_id(&a.exchange, psl),
+                reason,
+            }),
+            None => Decision::Examined,
+        }
+    });
+
+    // Report phase: serial, in sorted-name order.
+    for ((name, _), decision) in entries.into_iter().zip(decisions) {
+        if let Decision::Skip = decision {
+            continue;
+        }
+        report.examined.push(name.clone());
+        if let Decision::Correct(c) = decision {
+            report.corrections.push(c);
+        }
     }
     report
+}
+
+/// Apply one correction from [`examine`]: the assignment falls back to
+/// the MX-record ID and is flagged as corrected.
+pub(crate) fn correct(a: &mut MxAssignment, c: &Correction) {
+    a.provider = c.new.clone();
+    a.source = IdSource::MxRecord;
+    a.corrected = true;
 }
 
 /// The hostnames through which the assignment claimed its provider:

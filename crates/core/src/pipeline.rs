@@ -1,6 +1,11 @@
-//! The end-to-end inference pipeline and the four strategies of §3.3.
+//! The end-to-end inference pipeline, the four strategies of §3.3, and
+//! the staged [`Engine`] both the one-shot run and incremental callers
+//! go through.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use mx_dns::Name;
 use mx_psl::PublicSuffixList;
@@ -8,8 +13,8 @@ use mx_psl::PublicSuffixList;
 use crate::certgroup::{self, CertGroups};
 use crate::domainid::{self, DomainAssignment};
 use crate::input::ObservationSet;
-use crate::ipid::{self, ProviderId};
-use crate::misid::{self, MisidReport, ProviderKnowledge};
+use crate::ipid::{self, IpIds, ProviderId};
+use crate::misid::{self, Confidence, MisidReport, ProviderKnowledge};
 use crate::mxid::{self, MxAssignment};
 
 /// The four inference strategies the paper evaluates (Figure 4).
@@ -101,8 +106,8 @@ impl InferenceResult {
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     strategy: Strategy,
-    knowledge: ProviderKnowledge,
-    psl: std::sync::Arc<PublicSuffixList>,
+    knowledge: Arc<ProviderKnowledge>,
+    psl: Arc<PublicSuffixList>,
 }
 
 impl Pipeline {
@@ -111,8 +116,8 @@ impl Pipeline {
     pub fn new(strategy: Strategy) -> Pipeline {
         Pipeline {
             strategy,
-            knowledge: ProviderKnowledge::new(usize::MAX),
-            psl: std::sync::Arc::new(PublicSuffixList::builtin()),
+            knowledge: Arc::new(ProviderKnowledge::new(usize::MAX)),
+            psl: Arc::new(PublicSuffixList::builtin()),
         }
     }
 
@@ -121,8 +126,8 @@ impl Pipeline {
     pub fn priority_based(knowledge: ProviderKnowledge) -> Pipeline {
         Pipeline {
             strategy: Strategy::PriorityBased,
-            knowledge,
-            psl: std::sync::Arc::new(PublicSuffixList::builtin()),
+            knowledge: Arc::new(knowledge),
+            psl: Arc::new(PublicSuffixList::builtin()),
         }
     }
 
@@ -131,107 +136,320 @@ impl Pipeline {
         self.strategy
     }
 
-    /// Run the pipeline over an observation set.
+    /// A staged engine with this pipeline's strategy, knowledge and PSL
+    /// and nothing memoised yet.
+    pub fn engine(&self) -> Engine {
+        Engine {
+            pipeline: self.clone(),
+            last_ip_ids: HashMap::new(),
+            last_confidence: Confidence::default(),
+            mx_post: HashMap::new(),
+            mx_pre: HashMap::new(),
+        }
+    }
+
+    /// Run the pipeline over an observation set: a fresh [`Engine`]
+    /// applied once with every row changed.
     pub fn run(&self, obs: &ObservationSet) -> InferenceResult {
-        let _obs_run = mx_obs::stage!(mx_obs::names::STAGE_INFER).enter();
+        let mut engine = self.engine();
+        let every_row: Vec<usize> = (0..obs.domains.len()).collect();
+        let applied = engine.apply(obs, &every_row, &BTreeSet::new());
+        InferenceResult {
+            strategy: self.strategy,
+            domains: applied
+                .assignments
+                .into_iter()
+                .map(|a| (a.domain.clone(), a))
+                .collect(),
+            mx_assignments: engine.mx_post,
+            cert_groups: applied.cert_groups,
+            misid: applied.misid,
+        }
+    }
+}
+
+/// What one [`Engine::apply`] recomputed.
+#[derive(Debug)]
+pub struct Applied {
+    /// Attributions of the re-attributed rows, in view order.
+    pub assignments: Vec<DomainAssignment>,
+    /// Certificate grouping over the whole view (empty for strategies
+    /// that skip certificates).
+    pub cert_groups: CertGroups,
+    /// Step-4 report over the exchanges this call re-decided (every
+    /// exchange on a fresh engine; empty unless the strategy checks
+    /// misidentifications).
+    pub misid: MisidReport,
+    /// Exchanges whose `mxid` assignment was recomputed.
+    pub mx_reassigned: usize,
+}
+
+/// Staged inference over an observation view that changes between
+/// calls.
+///
+/// The population-coupled stages (certificate grouping, per-IP IDs,
+/// confidence counters) run over the whole view on every call; their
+/// outputs are diffed against the previous call's to bound which pure
+/// per-exchange (`mxid`, step-4 decision) and per-domain (`domainid`)
+/// results can have changed. Only those are recomputed; the rest come
+/// from the memo:
+///
+/// - an exchange re-runs `mxid` iff a changed row names it or one of
+///   its addresses' per-IP IDs changed;
+/// - its step-4 decision re-runs iff its pre-check assignment changed
+///   or one of its addresses was touched (re-scanned, or entered or left
+///   the view) or changed confidence score;
+/// - a domain re-runs `domainid` iff its row changed or one of its
+///   primary exchanges' post-check assignment changed.
+///
+/// Each trigger set is a conservative superset of the stage's true
+/// input changes: an exchange's ID reads only its addresses and their
+/// per-IP IDs, a decision reads only its own pre-check assignment and
+/// the scores and observations of its addresses, and a domain reads
+/// only its row, its primary exchanges and their addresses' scans. A
+/// fresh engine has no memo, so its first call assigns, decides and
+/// attributes everything it is given — which is what [`Pipeline::run`]
+/// is.
+#[derive(Debug)]
+pub struct Engine {
+    pipeline: Pipeline,
+    /// Last call's (strategy-masked) per-IP IDs: the `mxid` diff base.
+    last_ip_ids: HashMap<Ipv4Addr, IpIds>,
+    /// Last call's confidence counters: the step-4 diff base.
+    last_confidence: Confidence,
+    /// Post-check assignment of every exchange assigned so far — what
+    /// `domainid` reads. May keep exchanges no row names any more; rows
+    /// never read those, and a row that names one again arrives
+    /// changed, which re-assigns it.
+    mx_post: HashMap<Name, MxAssignment>,
+    /// Pre-check assignments that differ from `mx_post`: exactly the
+    /// exchanges step 4 corrected. Every other exchange's pre-check
+    /// assignment is its post-check one, so the memo holds one full map.
+    mx_pre: HashMap<Name, MxAssignment>,
+}
+
+impl Engine {
+    /// The memoised post-check assignment of `exchange`: lets a test
+    /// compare a long-lived engine's memo with a fresh run.
+    pub fn mx_assignment(&self, exchange: &Name) -> Option<&MxAssignment> {
+        self.mx_post.get(exchange)
+    }
+
+    /// The memoised pre-check assignment of `exchange`.
+    fn pre_check(&self, exchange: &Name) -> Option<&MxAssignment> {
+        self.mx_pre
+            .get(exchange)
+            .or_else(|| self.mx_post.get(exchange))
+    }
+
+    /// Re-infer `view` after a change and return what was recomputed.
+    ///
+    /// `changed_rows` are the indices (ascending, distinct) of the rows
+    /// that are new or different since the last call, or that name an
+    /// address whose observation changed; `touched_ips` are the
+    /// addresses whose observation changed or that entered or left the
+    /// view, so every row that names a touched address is a changed
+    /// row. On a fresh engine every exchange is new, so `touched_ips`
+    /// has nothing to add there, and `changed_rows` must name every row.
+    ///
+    /// Every row that names an exchange must list the same addresses
+    /// for it, as rows resolved from one world do: the engine takes them
+    /// from the first changed row that names the exchange.
+    pub fn apply(
+        &mut self,
+        view: &ObservationSet,
+        changed_rows: &[usize],
+        touched_ips: &BTreeSet<Ipv4Addr>,
+    ) -> Applied {
+        use mx_obs::names;
+        debug_assert!(changed_rows.windows(2).all(|w| w[0] < w[1]));
+        let _infer = mx_obs::stage!(names::STAGE_INFER).enter();
+        let strategy = self.pipeline.strategy;
+        let psl = &*self.pipeline.psl;
 
         // Step 1: certificate preprocessing (skipped unless certs used).
-        let cert_groups = if self.strategy.use_certs() {
-            let _s = mx_obs::stage!(
-                mx_obs::names::STAGE_INFER_CERTGROUP,
-                mx_obs::names::STAGE_INFER
-            )
-            .enter();
-            certgroup::preprocess(obs, &self.psl)
+        let cert_groups = if strategy.use_certs() {
+            let _s = mx_obs::stage!(names::STAGE_INFER_CERTGROUP, names::STAGE_INFER).enter();
+            certgroup::preprocess(view, psl)
         } else {
             CertGroups::default()
         };
 
         // Step 2: per-IP IDs, masked by strategy.
-        let _s_ipid =
-            mx_obs::stage!(mx_obs::names::STAGE_INFER_IPID, mx_obs::names::STAGE_INFER).enter();
-        let mut ip_ids = ipid::compute_ip_ids(obs, &cert_groups, &self.psl);
-        drop(_s_ipid);
-        if !self.strategy.use_certs() {
+        let s_ipid = mx_obs::stage!(names::STAGE_INFER_IPID, names::STAGE_INFER).enter();
+        let mut ip_ids = ipid::compute_ip_ids(view, &cert_groups, psl);
+        drop(s_ipid);
+        if !strategy.use_certs() {
             for ids in ip_ids.values_mut() {
                 ids.from_cert = None;
             }
         }
-        if !self.strategy.use_banner() {
+        if !strategy.use_banner() {
             for ids in ip_ids.values_mut() {
                 ids.from_banner = None;
             }
         }
 
-        // Step 3: per-MX provider IDs. Dedup to distinct exchanges first
-        // (keeping the first-seen addrs, as the serial entry API did),
-        // then assign each exchange independently in parallel.
-        let _s_mxid =
-            mx_obs::stage!(mx_obs::names::STAGE_INFER_MXID, mx_obs::names::STAGE_INFER).enter();
-        let mut distinct: Vec<&crate::input::MxTargetObs> = Vec::new();
-        let mut seen: std::collections::HashSet<&Name> = std::collections::HashSet::new();
-        // lint:allow(R9): obs.domains is a Vec (deterministic observation order); the name collides with InferenceResult's hash-typed field above
-        for d in &obs.domains {
-            for t in d.mx.targets() {
+        // Step 3: per-MX provider IDs for the exchanges changed rows
+        // name (first-seen addresses) and the memoised ones whose
+        // addresses' IDs changed.
+        let s_mxid = mx_obs::stage!(names::STAGE_INFER_MXID, names::STAGE_INFER).enter();
+        let mut seen: HashSet<&Name> = HashSet::new();
+        let mut reassign: Vec<(&Name, &[Ipv4Addr])> = Vec::new();
+        for &i in changed_rows {
+            let row = &view.domains[i];
+            for t in row.mx.targets() {
                 if seen.insert(&t.exchange) {
-                    distinct.push(t);
+                    reassign.push((&t.exchange, &t.addrs));
                 }
             }
         }
-        let mut mx_assignments: HashMap<Name, MxAssignment> =
-            mx_par::par_map(&distinct, |t| {
-                let (provider, source) =
-                    mxid::assign_mx_id(&t.exchange, &t.addrs, &ip_ids, &self.psl);
-                (
-                    t.exchange.clone(),
-                    MxAssignment {
-                        exchange: t.exchange.clone(),
-                        provider,
-                        source,
-                        addrs: t.addrs.clone(),
-                        corrected: false,
-                    },
-                )
-            })
-            .into_iter()
-            .collect();
-        drop(_s_mxid);
+        if !self.mx_post.is_empty() {
+            let moved = changed_keys(&self.last_ip_ids, &ip_ids);
+            let stale: BTreeSet<&Name> = self
+                .mx_post
+                .iter()
+                .filter(|(e, a)| !seen.contains(e) && a.addrs.iter().any(|ip| moved.contains(ip)))
+                .map(|(e, _)| e)
+                .collect();
+            reassign.extend(stale.into_iter().map(|e| (e, &self.mx_post[e].addrs[..])));
+        }
+        let assigned = mx_par::par_map(&reassign, |&(e, addrs)| {
+            let (provider, source) = mxid::assign_mx_id(e, addrs, &ip_ids, psl);
+            MxAssignment {
+                exchange: e.clone(),
+                provider,
+                source,
+                addrs: addrs.to_vec(),
+                corrected: false,
+            }
+        });
+        let mx_reassigned = assigned.len();
+        // `sub` holds the pre-check assignments whose decision re-runs.
+        let mut sub: HashMap<Name, MxAssignment> = HashMap::with_capacity(assigned.len());
+        for a in assigned {
+            if self.pre_check(&a.exchange) != Some(&a) {
+                sub.insert(a.exchange.clone(), a);
+            }
+        }
+        drop(s_mxid);
 
-        // Step 4: misidentification check.
-        let misid = if self.strategy.check_misid() {
-            let _s = mx_obs::stage!(
-                mx_obs::names::STAGE_INFER_MISID,
-                mx_obs::names::STAGE_INFER
-            )
-            .enter();
-            misid::check(&mut mx_assignments, obs, &self.knowledge, &self.psl)
+        // Step 4: misidentification check, re-decided for `sub` plus the
+        // memoised exchanges with a touched or re-scored address.
+        let mut misid = MisidReport::default();
+        if strategy.check_misid() {
+            let _s = mx_obs::stage!(names::STAGE_INFER_MISID, names::STAGE_INFER).enter();
+            let confidence = Confidence::compute(view);
+            if !self.mx_post.is_empty() {
+                let mut rescored = changed_keys(&self.last_confidence.num_ip, &confidence.num_ip);
+                let certs = changed_keys(&self.last_confidence.num_cert, &confidence.num_cert);
+                if !certs.is_empty() {
+                    for (ip, o) in &view.ips {
+                        if o.leaf_cert
+                            .as_ref()
+                            .is_some_and(|c| certs.contains(&c.fingerprint()))
+                        {
+                            rescored.insert(*ip);
+                        }
+                    }
+                }
+                let redecide: BTreeSet<&Name> = self
+                    .mx_post
+                    .iter()
+                    .filter(|(e, a)| {
+                        !sub.contains_key(*e)
+                            && a.addrs
+                                .iter()
+                                .any(|ip| rescored.contains(ip) || touched_ips.contains(ip))
+                    })
+                    .map(|(e, _)| e)
+                    .collect();
+                for e in redecide {
+                    if let Some(pre) = self.pre_check(e) {
+                        sub.insert(e.clone(), pre.clone());
+                    }
+                }
+            }
+            misid = misid::examine(&sub, view, &self.pipeline.knowledge, psl, &confidence);
+            self.mx_pre.retain(|e, _| !sub.contains_key(e));
+            for c in &misid.corrections {
+                if let Some(a) = sub.get_mut(&c.exchange) {
+                    self.mx_pre.insert(c.exchange.clone(), a.clone());
+                    misid::correct(a, c);
+                }
+            }
+            self.last_confidence = confidence;
+        }
+        self.last_ip_ids = ip_ids;
+
+        // Step 5: domain attribution for the changed rows plus, when a
+        // memoised exchange's post-check assignment moved at the same,
+        // untouched addresses, every row with that exchange as a primary
+        // (one walk over the view). A new, re-addressed or touched
+        // exchange needs no walk: only changed rows can name it.
+        let s_domainid = mx_obs::stage!(names::STAGE_INFER_DOMAINID, names::STAGE_INFER).enter();
+        let mut rows = changed_rows.to_vec();
+        if rows.len() < view.domains.len() {
+            let moved: BTreeSet<&Name> = sub
+                .iter()
+                .filter(|(e, a)| {
+                    self.mx_post
+                        .get(*e)
+                        .is_some_and(|o| o.addrs == a.addrs && o != *a)
+                        && !a.addrs.iter().any(|ip| touched_ips.contains(ip))
+                })
+                .map(|(e, _)| e)
+                .collect();
+            if !moved.is_empty() {
+                rows = (0..view.domains.len())
+                    .filter(|i| {
+                        changed_rows.binary_search(i).is_ok()
+                            || view.domains[*i]
+                                .mx
+                                .primary_targets()
+                                .iter()
+                                .any(|t| moved.contains(&t.exchange))
+                    })
+                    .collect();
+            }
+        }
+        if self.mx_post.is_empty() {
+            self.mx_post = sub;
         } else {
-            MisidReport::default()
-        };
+            self.mx_post.extend(sub);
+        }
+        let assignments = mx_par::par_map(&rows, |&i| {
+            domainid::assign_domain(&view.domains[i], &self.mx_post, view)
+        });
+        drop(s_domainid);
 
-        // Step 5: domain attribution, one independent task per domain.
-        let _s_domainid = mx_obs::stage!(
-            mx_obs::names::STAGE_INFER_DOMAINID,
-            mx_obs::names::STAGE_INFER
-        )
-        .enter();
-        let domains = mx_par::par_map(&obs.domains, |d| {
-            (
-                d.domain.clone(),
-                domainid::assign_domain(d, &mx_assignments, obs),
-            )
-        })
-        .into_iter()
-        .collect();
-
-        InferenceResult {
-            strategy: self.strategy,
-            domains,
-            mx_assignments,
+        Applied {
+            assignments,
             cert_groups,
             misid,
+            mx_reassigned,
         }
     }
+}
+
+/// Keys whose entry differs between `old` and `new`, including keys
+/// present in only one of them.
+fn changed_keys<K: Copy + Ord + Hash, V: PartialEq>(
+    old: &HashMap<K, V>,
+    new: &HashMap<K, V>,
+) -> BTreeSet<K> {
+    let mut changed: BTreeSet<K> = new
+        .iter()
+        .filter(|(k, v)| old.get(k) != Some(v))
+        .map(|(k, _)| *k)
+        .collect();
+    let gone: BTreeSet<K> = old
+        .keys()
+        .filter(|k| !new.contains_key(k))
+        .copied()
+        .collect();
+    changed.extend(gone);
+    changed
 }
 
 #[cfg(test)]

@@ -37,12 +37,20 @@ pub fn source_from_store(source: ShareSource) -> IdSource {
 /// attributed domain, shares in assignment order (sorted by provider
 /// id), companies resolved through `companies`.
 pub fn result_rows(result: &InferenceResult, companies: &CompanyMap) -> Vec<RowIn> {
+    assignment_rows(result.domains.values(), companies)
+}
+
+/// Render domain attributions as writer rows, exactly as
+/// [`result_rows`] renders a whole result.
+pub fn assignment_rows<'a>(
+    assignments: impl IntoIterator<Item = &'a DomainAssignment>,
+    companies: &CompanyMap,
+) -> Vec<RowIn> {
     let psl = mx_psl::PublicSuffixList::builtin();
-    result
-        .domains
-        .iter()
-        .map(|(name, a)| RowIn {
-            name: name.to_dotted(),
+    assignments
+        .into_iter()
+        .map(|a| RowIn {
+            name: a.domain.to_dotted(),
             has_smtp: a.has_smtp,
             self_hosted: crate::domainid::is_self_hosted(a, &psl),
             shares: a

@@ -19,8 +19,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use mx_dns::Name;
-use mx_store::format::write_str;
-use mx_store::varint::{write_u64, MAX_VARINT_LEN};
+use mx_store::format::{self, write_str};
+use mx_store::varint::write_u64;
+use mx_store::StoreError;
 
 use crate::world::PROVIDERS;
 
@@ -293,32 +294,35 @@ pub fn encode_log(log: &[Vec<Event>]) -> Vec<u8> {
 
 // ---------------------------------------------------------------- decode
 
-/// Bounds-checked cursor over untrusted log bytes.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Bounds-checked cursor over untrusted log bytes: the store's cursor,
+/// with its errors mapped onto [`DeltaError`].
+struct Cur<'a>(format::Cur<'a>);
+
+/// Map a store cursor error onto the log's error vocabulary.
+fn wire(e: StoreError) -> DeltaError {
+    match e {
+        StoreError::Truncated => DeltaError::Truncated,
+        StoreError::VarintOverflow => DeltaError::VarintOverflow,
+        StoreError::BadUtf8 => DeltaError::BadUtf8,
+        other => DeltaError::Store(other),
+    }
 }
 
 impl<'a> Cur<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
+        Cur(format::Cur::new(buf))
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
+        self.0.remaining()
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], DeltaError> {
-        let end = self.pos.checked_add(n).ok_or(DeltaError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(DeltaError::Truncated)?;
-        self.pos = end;
-        Ok(s)
+        self.0.bytes(n).map_err(wire)
     }
 
     fn u8(&mut self) -> Result<u8, DeltaError> {
-        let b = *self.buf.get(self.pos).ok_or(DeltaError::Truncated)?;
-        self.pos = self.pos.saturating_add(1);
-        Ok(b)
+        self.0.u8().map_err(wire)
     }
 
     fn u16_le(&mut self) -> Result<u16, DeltaError> {
@@ -330,37 +334,22 @@ impl<'a> Cur<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, DeltaError> {
-        let mut v: u64 = 0;
-        let mut shift: u32 = 0;
-        for _i in 0..MAX_VARINT_LEN {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(DeltaError::VarintOverflow);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift = shift.saturating_add(7);
-        }
-        Err(DeltaError::VarintOverflow)
+        self.0.varint().map_err(wire)
     }
 
     /// A count that bounds upcoming items: each item needs at least one
     /// byte, so a count beyond the remaining input is truncation, not
     /// an allocation request.
     fn count(&mut self) -> Result<usize, DeltaError> {
-        let v = self.varint()?;
-        if v > self.remaining() as u64 {
+        let n = self.0.count().map_err(wire)?;
+        if n > self.remaining() {
             return Err(DeltaError::Truncated);
         }
-        Ok(v as usize)
+        Ok(n)
     }
 
     fn str(&mut self) -> Result<&'a str, DeltaError> {
-        let len = self.count()?;
-        let raw = self.bytes(len)?;
-        std::str::from_utf8(raw).map_err(|_| DeltaError::BadUtf8)
+        self.0.str().map_err(wire)
     }
 }
 
@@ -554,6 +543,17 @@ mod tests {
         let mut bytes = encode_log(&sample_log());
         bytes.push(0);
         assert_eq!(decode_log(&bytes), Err(DeltaError::TrailingBytes));
+    }
+
+    #[test]
+    fn overflowing_varint_rejected() {
+        // An empty log ends with its name and batch counts, one byte
+        // each; swap them for a varint that runs past 64 bits.
+        let mut bytes = encode_log(&[]);
+        bytes.truncate(bytes.len() - 2);
+        bytes.extend_from_slice(&[0xff; 9]);
+        bytes.push(0x7f);
+        assert_eq!(decode_log(&bytes), Err(DeltaError::VarintOverflow));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! epoch-over-epoch churn is small. This crate turns that coarse
 //! cadence into a fine-grained series: a typed stream of zone-update
 //! events ([`event`]) drives a reconciler ([`reconcile`]) that
-//! re-resolves, re-scans and re-attributes **only the domains an
-//! event batch actually dirtied** — inference itself is staged, with
-//! the population-coupled stages recomputed in full and the pure
-//! attribution stages memoised under exact invalidation — then
-//! hands only the changed rows to the store writer it holds hot
+//! re-resolves and re-scans **only the domains an event batch
+//! actually dirtied**, hands those rows to the staged inference
+//! engine it holds ([`mx_infer::Engine`], the one `Pipeline::run`
+//! applies once), which re-attributes only what the change can reach,
+//! then hands only the changed rows to the store writer it holds hot
 //! ([`mx_store::StoreWriter::add_epoch_changes`]), which appends them
 //! as a true delta epoch and emits the grown file
 //! ([`mx_store::StoreWriter::snapshot`]; the reopen path,

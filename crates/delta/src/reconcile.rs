@@ -12,42 +12,28 @@
 //!    no matter what changed around it;
 //! 2. the simulated clock and the scan epoch are pinned, so an
 //!    unchanged server re-scans to the same bytes in every batch;
-//! 3. inference is *staged*: the population-coupled stages
-//!    (certificate grouping, per-IP IDs, misidentification
-//!    confidence counts) recompute over the full joined view every
-//!    batch, and their outputs are diffed against the previous batch
-//!    to find exactly which pure per-exchange (`mxid`) and
-//!    per-domain (`domainid`) attributions could have changed — only
-//!    those are recomputed, everything else is served from memo.
+//! 3. inference runs through [`mx_infer::Engine`], the same staged
+//!    engine `Pipeline::run` applies once. The reconciler hands it the
+//!    patched view, the rows that re-resolved (every domain naming a
+//!    re-scanned address is among them, by the dirty-set closure) and
+//!    the touched addresses; the engine recomputes only the
+//!    attributions those can reach.
 //!
-//! The staging in (3) is sound because the pure stages are
-//! deterministic functions of inputs the diff covers completely: an
-//! exchange's provider ID reads its address set and the per-IP IDs;
-//! a misidentification decision reads the pre-check assignment, the
-//! confidence scores of its addresses, and the observations at those
-//! addresses; a domain's attribution reads its own row, its primary
-//! exchanges' post-check assignments, and its addresses' scan
-//! status. Each trigger set below is a (conservative) superset of
-//! the corresponding input-change set, and the gate re-proves the
-//! equivalence end to end on every run.
+//! The reconciler itself only measures: event apply, dirty-set
+//! closure, re-resolution, re-scan, view patching and the store
+//! append.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
-use mx_cert::Fingerprint;
 use mx_dns::Name;
-use mx_infer::misid::Confidence;
-use mx_infer::mxid::MxAssignment;
-use mx_infer::store_io::source_to_store;
 use mx_infer::{
-    certgroup, domainid, ipid, misid, mxid, result_rows, AcqFault, AcquisitionReport, CompanyMap,
-    DomainObservation, IpAcquisition, IpObservation, MxObservation, MxTargetObs, ObservationSet,
-    Pipeline, ProviderKnowledge, ProviderProfile, ScanStatus,
+    assignment_rows, result_rows, AcqFault, AcquisitionReport, CompanyMap, DomainObservation,
+    Engine, IpAcquisition, IpObservation, MxObservation, MxTargetObs, ObservationSet, Pipeline,
+    ProviderKnowledge, ProviderProfile, ScanStatus,
 };
-use mx_infer::ipid::IpIds;
 use mx_net::{openintel, Missed, PortState, Scanner};
-use mx_psl::PublicSuffixList;
-use mx_store::{RowIn, ShareIn, StoreWriter};
+use mx_store::StoreWriter;
 
 use crate::event::{DeltaError, Event};
 use crate::world::{materialize, DeltaWorld, WorldState, PROVIDERS};
@@ -112,13 +98,6 @@ fn scan_ips(
             }
         } else {
             match scan.missed.get(&ip) {
-                Some(Missed::Blocked) => IpAcquisition {
-                    attempts: 0,
-                    recovered: false,
-                    exhausted: false,
-                    blocked: true,
-                    fault: None,
-                },
                 Some(Missed::Exhausted { attempts }) => IpAcquisition {
                     attempts: *attempts,
                     recovered: false,
@@ -126,7 +105,7 @@ fn scan_ips(
                     blocked: false,
                     fault: Some(AcqFault::Transient),
                 },
-                None => IpAcquisition {
+                Some(Missed::Blocked) | None => IpAcquisition {
                     attempts: 0,
                     recovered: false,
                     exhausted: false,
@@ -290,11 +269,11 @@ pub struct BatchStats {
     pub reuse_hits: u64,
     /// Population size after the batch.
     pub population: u64,
-    /// Exchanges whose `mxid` assignment was recomputed (the rest
-    /// came from the staged-inference memo).
+    /// Exchanges whose provider ID the engine recomputed (the rest
+    /// came from its memo).
     pub mx_reassigned: u64,
-    /// Domains whose attribution was recomputed (the rest came from
-    /// the staged-inference memo).
+    /// Domains whose attribution the engine recomputed (the rest came
+    /// from its memo).
     pub domains_reattributed: u64,
 }
 
@@ -336,73 +315,24 @@ fn ref_dec(
     }
 }
 
-/// Record `key` as a user of every primary exchange of `row` (the
-/// domain-attribution reverse index).
-fn users_inc(users: &mut HashMap<Name, BTreeSet<String>>, row: &DomainObservation, key: &str) {
-    for t in row.mx.primary_targets() {
-        users.entry(t.exchange.clone()).or_default().insert(key.to_string());
-    }
-}
-
-/// Remove `key` from the user sets of `row`'s primary exchanges.
-fn users_dec(users: &mut HashMap<Name, BTreeSet<String>>, row: &DomainObservation, key: &str) {
-    for t in row.mx.primary_targets() {
-        if let Some(set) = users.get_mut(&t.exchange) {
-            set.remove(key);
-            if set.is_empty() {
-                users.remove(&t.exchange);
-            }
-        }
-    }
-}
-
-/// Render one domain attribution into its final store row, exactly as
-/// [`result_rows`] does for the full pipeline.
-fn row_from_assignment(
-    key: &str,
-    a: &domainid::DomainAssignment,
-    companies: &CompanyMap,
-    psl: &PublicSuffixList,
-) -> RowIn {
-    RowIn {
-        name: key.to_string(),
-        has_smtp: a.has_smtp,
-        self_hosted: domainid::is_self_hosted(a, psl),
-        shares: a
-            .shares
-            .iter()
-            .map(|s| ShareIn {
-                provider: s.provider.as_str().to_string(),
-                company: companies.company_of(&s.provider).map(str::to_string),
-                weight: s.weight,
-                source: source_to_store(s.source),
-            })
-            .collect(),
-    }
-}
-
-/// Incremental measurement engine: owns the evolving world state, the
-/// per-domain and per-IP observation caches, the maintained reverse
-/// index and joined view, and the hot store writer.
+/// Incremental measurement: owns the evolving world state, the per-IP
+/// observation cache, the maintained reverse index and joined view,
+/// the staged inference [`Engine`] and the hot store writer.
 ///
-/// Measurement, memo lookups and the store append are maintained
-/// incrementally and cost O(dirty + appended bytes); the coupled
-/// inference stages (certificate grouping, per-IP IDs, confidence
-/// counts, each with its diff against the previous batch) and the
+/// Measurement and the store append are maintained incrementally and
+/// cost O(dirty + appended bytes); the engine's coupled stages and the
 /// writer's index walk still visit the whole population every batch:
 ///
 /// - `footprints`/`ref_index`: each domain's state-derived address set
 ///   and its inversion, updated only for domains whose zone changed
 ///   (the dirty-set closure reads the index instead of sweeping every
 ///   domain's footprint twice per batch);
-/// - `view`: the full joined [`ObservationSet`] the coupled inference
-///   stages run over, patched in place (dirty rows replaced,
-///   adds/deletes merged in one sorted pass, the referenced-IP maps
-///   adjusted by refcount);
-/// - `mx_pre`/`mx_post` (plus the `ip_ids`/`confidence` diff bases and
-///   the `mx_users` reverse index): the staged inference memos —
-///   per-exchange and per-domain attributions recompute only when the
-///   coupled-stage diff says their inputs changed;
+/// - `view`: the full joined [`ObservationSet`] inference runs over,
+///   patched in place (dirty rows replaced, adds/deletes merged in one
+///   sorted pass, the referenced-IP maps adjusted by refcount);
+/// - `engine`: staged inference over `view` — each batch hands it the
+///   re-resolved rows and the touched addresses, and it returns the
+///   re-attributed domains;
 /// - `writer`: the [`StoreWriter`] stays open across the whole series.
 ///   Its resolved view of the last epoch is the per-domain attribution
 ///   memo: each batch hands it only the re-attributed rows and the
@@ -417,7 +347,6 @@ fn row_from_assignment(
 pub struct Reconciler {
     state: WorldState,
     epoch: usize,
-    dns_cache: HashMap<String, DomainObservation>,
     ip_cache: HashMap<Ipv4Addr, (IpObservation, IpAcquisition)>,
     /// Current state-derived address footprint of every live domain.
     footprints: HashMap<String, Vec<Ipv4Addr>>,
@@ -428,34 +357,13 @@ pub struct Reconciler {
     /// rows; its key set is exactly `view.ips`'s key set.
     measured: BTreeMap<Ipv4Addr, u32>,
     /// The joined observation view inference runs over, kept current.
+    /// Its rows are every live domain's, sorted by dotted name.
     view: ObservationSet,
     /// Dotted names of `view.domains`, in the same sorted order —
     /// lookups and merges compare these instead of re-rendering every
     /// [`Name`] they probe.
     view_keys: Vec<String>,
-    /// PSL every staged inference stage shares (the same builtin list
-    /// the full pipeline uses).
-    psl: PublicSuffixList,
-    /// Misidentification knowledge of the delta catalog.
-    knowledge: ProviderKnowledge,
-    /// Last batch's per-IP IDs; diffed to find exchanges whose
-    /// provider ID could have changed.
-    ip_ids: HashMap<Ipv4Addr, IpIds>,
-    /// Last batch's confidence counters; diffed to find addresses
-    /// whose score could have changed.
-    confidence: Confidence,
-    /// Pre-misidentification per-exchange assignments (the `mxid`
-    /// memo). May retain entries for exchanges no longer referenced;
-    /// rows never read those, and a re-adopting domain always arrives
-    /// as a fresh row, which re-assigns its exchanges.
-    mx_pre: HashMap<Name, MxAssignment>,
-    /// Post-misidentification per-exchange assignments — what domain
-    /// attribution actually reads.
-    mx_post: HashMap<Name, MxAssignment>,
-    /// Primary exchange → dotted names of the view rows using it (the
-    /// attribution reverse index: a changed post-check assignment
-    /// re-attributes exactly these domains).
-    mx_users: HashMap<Name, BTreeSet<String>>,
+    engine: Engine,
     companies: CompanyMap,
     writer: StoreWriter,
 }
@@ -466,20 +374,13 @@ impl Reconciler {
         Reconciler {
             state,
             epoch: 0,
-            dns_cache: HashMap::new(),
             ip_cache: HashMap::new(),
             footprints: HashMap::new(),
             ref_index: BTreeMap::new(),
             measured: BTreeMap::new(),
             view: ObservationSet::new(),
             view_keys: Vec::new(),
-            psl: PublicSuffixList::builtin(),
-            knowledge: provider_knowledge(10),
-            ip_ids: HashMap::new(),
-            confidence: Confidence::default(),
-            mx_pre: HashMap::new(),
-            mx_post: HashMap::new(),
-            mx_users: HashMap::new(),
+            engine: delta_pipeline().engine(),
             companies: company_map(),
             writer: StoreWriter::new(),
         }
@@ -491,13 +392,10 @@ impl Reconciler {
     }
 
     /// Fully measure the current state, seed the caches, the reverse
-    /// index and the joined view, and build the base store (epoch
-    /// `d0000`).
+    /// index, the joined view and the engine, and build the base store
+    /// (epoch `d0000`).
     pub fn base_store(&mut self) -> Result<Vec<u8>, DeltaError> {
         let (obs, table) = observe_state(&self.state);
-        for d in &obs.domains {
-            self.dns_cache.insert(d.domain.to_dotted(), d.clone());
-        }
         self.ip_cache = table;
         for d in self.state.domains.keys() {
             let fp = self.state.footprint(d);
@@ -511,54 +409,11 @@ impl Reconciler {
             ref_inc(&mut self.measured, row, &mut became);
         }
         self.view_keys = obs.domains.iter().map(|d| d.domain.to_dotted()).collect();
-
-        // Staged inference, run in full once to seed the memos. Each
-        // stage is the same public entry point the pipeline composes,
-        // with the same inputs, so the seeded state and the base
-        // epoch's rows match a `Pipeline::run` bit for bit.
-        let cert_groups = certgroup::preprocess(&obs, &self.psl);
-        self.ip_ids = ipid::compute_ip_ids(&obs, &cert_groups, &self.psl);
-        let mut distinct: Vec<&MxTargetObs> = Vec::new();
-        let mut seen_ex: std::collections::HashSet<&Name> = std::collections::HashSet::new();
-        for d in &obs.domains {
-            for t in d.mx.targets() {
-                if seen_ex.insert(&t.exchange) {
-                    distinct.push(t);
-                }
-            }
-        }
-        self.mx_pre = mx_par::par_map(&distinct, |t| {
-            let (provider, source) = mxid::assign_mx_id(&t.exchange, &t.addrs, &self.ip_ids, &self.psl);
-            (
-                t.exchange.clone(),
-                MxAssignment {
-                    exchange: t.exchange.clone(),
-                    provider,
-                    source,
-                    addrs: t.addrs.clone(),
-                    corrected: false,
-                },
-            )
-        })
-        .into_iter()
-        .collect();
-        self.confidence = Confidence::compute(&obs);
-        self.mx_post = self.mx_pre.clone();
-        misid::check_with_confidence(&mut self.mx_post, &obs, &self.knowledge, &self.psl, &self.confidence);
-        let entries: Vec<(&str, &DomainObservation)> = self
-            .view_keys
-            .iter()
-            .map(String::as_str)
-            .zip(obs.domains.iter())
-            .collect();
-        let rows = mx_par::par_map(&entries, |&(key, d)| {
-            let a = domainid::assign_domain(d, &self.mx_post, &obs);
-            row_from_assignment(key, &a, &self.companies, &self.psl)
-        });
-        for (key, d) in &entries {
-            users_inc(&mut self.mx_users, d, key);
-        }
-        self.writer.add_epoch(&epoch_label(0), rows, &obs.acquisition)?;
+        let every_row: Vec<usize> = (0..obs.domains.len()).collect();
+        let applied = self.engine.apply(&obs, &every_row, &BTreeSet::new());
+        let rows = assignment_rows(&applied.assignments, &self.companies);
+        self.writer
+            .add_epoch(&epoch_label(0), rows, &obs.acquisition)?;
         self.view = obs;
         self.epoch = 1;
         Ok(self.writer.snapshot())
@@ -580,11 +435,10 @@ impl Reconciler {
 
     /// Apply one event batch: update the state, compute the dirty set
     /// through the reverse index, re-measure only dirty domains and
-    /// invalidated addresses, patch the joined view, run staged
-    /// inference (coupled stages in full, memoised attribution stages
-    /// only where the stage diff demands), and append the resulting
-    /// delta epoch on the hot writer. Returns the grown store bytes
-    /// and the batch accounting.
+    /// invalidated addresses, patch the joined view, hand the engine
+    /// the re-resolved rows and touched addresses, and append the
+    /// re-attributed rows as a delta epoch on the hot writer. Returns
+    /// the grown store bytes and the batch accounting.
     pub fn apply_batch(&mut self, batch: &[Event]) -> Result<(Vec<u8>, BatchStats), DeltaError> {
         let _g = mx_obs::stage!(mx_obs::names::STAGE_DELTA_BATCH).enter();
 
@@ -643,10 +497,8 @@ impl Reconciler {
             }
         }
 
-        // 4. Invalidate caches.
-        for d in &dirty {
-            self.dns_cache.remove(d);
-        }
+        // 4. Invalidate the scan cache (dirty rows are replaced in the
+        // view below).
         for ip in &invalidated {
             self.ip_cache.remove(ip);
         }
@@ -674,32 +526,18 @@ impl Reconciler {
         let mut became: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut gone: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut inserts: Vec<(String, DomainObservation)> = Vec::new();
-        // Exchanges named by fresh rows, with their (world-derived,
-        // hence row-independent) address sets: these re-run `mxid`
-        // this batch no matter what, covering adopted and re-pointed
-        // exchanges.
-        let mut fresh_targets: BTreeMap<Name, Vec<Ipv4Addr>> = BTreeMap::new();
         for row in fresh {
             let key = row.domain.to_dotted();
-            for t in row.mx.targets() {
-                fresh_targets.entry(t.exchange.clone()).or_insert_with(|| t.addrs.clone());
-            }
             ref_inc(&mut self.measured, &row, &mut became);
             match self.view_keys.binary_search(&key) {
                 Ok(i) => {
                     ref_dec(&mut self.measured, &self.view.domains[i], &mut gone);
-                    users_dec(&mut self.mx_users, &self.view.domains[i], &key);
-                    users_inc(&mut self.mx_users, &row, &key);
-                    self.view.domains[i] = row.clone();
+                    self.view.domains[i] = row;
                 }
-                Err(_) => inserts.push((key.clone(), row.clone())),
+                Err(_) => inserts.push((key, row)),
             }
-            self.dns_cache.insert(key, row);
         }
         if !inserts.is_empty() || !removed.is_empty() {
-            for (key, row) in &inserts {
-                users_inc(&mut self.mx_users, row, key);
-            }
             let old = std::mem::take(&mut self.view.domains);
             let old_keys = std::mem::take(&mut self.view_keys);
             let mut merged: Vec<DomainObservation> = Vec::with_capacity(old.len() + inserts.len());
@@ -708,7 +546,6 @@ impl Reconciler {
             for (row, key) in old.into_iter().zip(old_keys) {
                 if removed.contains(&key) && !self.state.domains.contains_key(&key) {
                     ref_dec(&mut self.measured, &row, &mut gone);
-                    users_dec(&mut self.mx_users, &row, &key);
                     continue;
                 }
                 while let Some((nk, _)) = pending.peek() {
@@ -762,148 +599,25 @@ impl Reconciler {
             }
         }
 
-        // 9. Staged inference. The population-coupled stages recompute
-        // over the full view; diffing their outputs against the
-        // previous batch bounds exactly which pure attributions can
-        // have changed.
-        let cert_groups = certgroup::preprocess(&self.view, &self.psl);
-        let new_ip_ids = ipid::compute_ip_ids(&self.view, &cert_groups, &self.psl);
-        let new_conf = Confidence::compute(&self.view);
-
-        // 9a. Addresses whose per-IP IDs changed (including entries
-        // that appeared or vanished with view membership).
-        let mut changed_ids: BTreeSet<Ipv4Addr> = BTreeSet::new();
-        for (ip, ids) in &new_ip_ids {
-            if self.ip_ids.get(ip) != Some(ids) {
-                changed_ids.insert(*ip);
-            }
-        }
-        for ip in self.ip_ids.keys() {
-            if !new_ip_ids.contains_key(ip) {
-                changed_ids.insert(*ip);
-            }
-        }
-
-        // 9b. Addresses whose confidence score may have changed: a
-        // changed per-IP count, or presenting a certificate whose
-        // per-cert count changed.
-        let mut rescored: BTreeSet<Ipv4Addr> = BTreeSet::new();
-        for (ip, n) in &new_conf.num_ip {
-            if self.confidence.num_ip.get(ip) != Some(n) {
-                rescored.insert(*ip);
-            }
-        }
-        for ip in self.confidence.num_ip.keys() {
-            if !new_conf.num_ip.contains_key(ip) {
-                rescored.insert(*ip);
-            }
-        }
-        let mut changed_fps: BTreeSet<Fingerprint> = BTreeSet::new();
-        for (fp, n) in &new_conf.num_cert {
-            if self.confidence.num_cert.get(fp) != Some(n) {
-                changed_fps.insert(*fp);
-            }
-        }
-        for fp in self.confidence.num_cert.keys() {
-            if !new_conf.num_cert.contains_key(fp) {
-                changed_fps.insert(*fp);
-            }
-        }
-        if !changed_fps.is_empty() {
-            for (ip, o) in &self.view.ips {
-                if let Some(c) = &o.leaf_cert {
-                    if changed_fps.contains(&c.fingerprint()) {
-                        rescored.insert(*ip);
-                    }
-                }
-            }
-        }
-
-        // 9c. Re-run `mxid` for exchanges named by fresh rows or
-        // touching an address with changed IDs; everything else keeps
-        // its memoised pre-check assignment.
-        let mut reassign: BTreeMap<Name, Vec<Ipv4Addr>> = fresh_targets;
-        // lint:allow(R9): membership scan that only inserts into the ordered `reassign` map — the visit order cannot reach the output
-        for (e, a) in &self.mx_pre {
-            if !reassign.contains_key(e) && a.addrs.iter().any(|ip| changed_ids.contains(ip)) {
-                reassign.insert(e.clone(), a.addrs.clone());
-            }
-        }
-        let reassign: Vec<(Name, Vec<Ipv4Addr>)> = reassign.into_iter().collect();
-        let mx_reassigned = reassign.len() as u64;
-        let assigned = mx_par::par_map(&reassign, |(e, addrs)| {
-            let (provider, source) = mxid::assign_mx_id(e, addrs, &new_ip_ids, &self.psl);
-            MxAssignment {
-                exchange: e.clone(),
-                provider,
-                source,
-                addrs: addrs.clone(),
-                corrected: false,
-            }
-        });
-        let mut pre_changed: BTreeSet<Name> = BTreeSet::new();
-        for a in assigned {
-            if self.mx_pre.get(&a.exchange) != Some(&a) {
-                pre_changed.insert(a.exchange.clone());
-            }
-            self.mx_pre.insert(a.exchange.clone(), a);
-        }
-
-        // 9d. Re-decide the misidentification check for exchanges
-        // whose pre-check assignment, address scores, or address
-        // observations (re-scanned, or entering/leaving the view)
-        // changed. Decisions are per-exchange and read-only, so a
-        // restricted run equals the full run on the restricted set.
-        let mut redecide = pre_changed;
-        // lint:allow(R9): membership scan that only inserts into the ordered `redecide` set — the visit order cannot reach the output
-        for (e, a) in &self.mx_pre {
-            if redecide.contains(e) {
-                continue;
-            }
-            if a.addrs.iter().any(|ip| rescored.contains(ip) || touched.contains(ip)) {
-                redecide.insert(e.clone());
-            }
-        }
-        let mut sub: HashMap<Name, MxAssignment> = redecide
+        // 9. Staged inference over the patched view: the re-resolved
+        // rows changed, and so did every touched address.
+        let changed_rows: Vec<usize> = to_resolve
             .iter()
-            .filter_map(|e| self.mx_pre.get(e).map(|a| (e.clone(), a.clone())))
+            .map(|d| {
+                self.view_keys
+                    .binary_search(d)
+                    .expect("every re-resolved domain has a view row")
+            })
             .collect();
-        misid::check_with_confidence(&mut sub, &self.view, &self.knowledge, &self.psl, &new_conf);
-        let mut post_changed: BTreeSet<Name> = BTreeSet::new();
-        for (e, a) in sub {
-            if self.mx_post.get(&e) != Some(&a) {
-                post_changed.insert(e.clone());
-            }
-            self.mx_post.insert(e, a);
-        }
+        let applied = self.engine.apply(&self.view, &changed_rows, &touched);
+        let new_rows = assignment_rows(&applied.assignments, &self.companies);
 
-        // 9e. Re-attribute domains that re-resolved or whose primary
-        // exchanges' post-check assignments changed.
-        let mut reattribute: BTreeSet<String> = to_resolve.iter().cloned().collect();
-        for e in &post_changed {
-            if let Some(ds) = self.mx_users.get(e) {
-                reattribute.extend(ds.iter().cloned());
-            }
-        }
-        let reattribute: Vec<String> = reattribute
-            .into_iter()
-            .filter(|d| self.state.domains.contains_key(d))
-            .collect();
-        let domains_reattributed = reattribute.len() as u64;
-        let new_rows = mx_par::par_map(&reattribute, |d| {
-            let row = self.dns_cache.get(d).expect("live domain has a cached row");
-            let a = domainid::assign_domain(row, &self.mx_post, &self.view);
-            row_from_assignment(d, &a, &self.companies, &self.psl)
-        });
-
-        // 9f. Append the epoch on the hot writer: its resolved view
+        // 10. Append the epoch on the hot writer: its resolved view
         // holds every other domain's row from earlier batches.
         let departed: Vec<String> = removed
             .into_iter()
             .filter(|d| !self.state.domains.contains_key(d))
             .collect();
-        self.ip_ids = new_ip_ids;
-        self.confidence = new_conf;
         let label = epoch_label(self.epoch);
         self.writer
             .add_epoch_changes(&label, new_rows, departed, &self.view.acquisition)?;
@@ -917,8 +631,8 @@ impl Reconciler {
             rescanned_ips: to_scan.len() as u64,
             reuse_hits: self.state.domains.len() as u64 - to_resolve.len() as u64,
             population: self.state.domains.len() as u64,
-            mx_reassigned,
-            domains_reattributed,
+            mx_reassigned: applied.mx_reassigned as u64,
+            domains_reattributed: applied.assignments.len() as u64,
         };
         use mx_obs::names;
         mx_obs::counter!(names::DELTA_EVENTS_APPLIED).add(stats.events_applied);

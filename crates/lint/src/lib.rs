@@ -232,7 +232,17 @@ fn apply_allows(rel: &str, raw: Vec<Diagnostic>, allows: &[rules::Allow]) -> Vec
             });
         }
     }
+    sort_diagnostics(&mut out);
     out
+}
+
+/// Put diagnostics in the byte-stable order every reporter relies on:
+/// `(file, line, rule, message)`.
+fn sort_diagnostics(diagnostics: &mut [Diagnostic]) {
+    diagnostics.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.rule.id(), a.message.as_str())
+            .cmp(&(b.file.as_str(), b.line, b.rule.id(), b.message.as_str()))
+    });
 }
 
 /// Lint a set of in-memory sources as one workspace: the per-file rules
@@ -273,12 +283,7 @@ pub fn lint_sources(sources: &[(String, String)], config: &LintConfig) -> Report
     for (rel, raw, allows) in per_file {
         report.diagnostics.extend(apply_allows(&rel, raw, &allows));
     }
-    report
-        .diagnostics
-        .sort_by(|a, b| {
-            (a.file.as_str(), a.line, a.rule.id(), a.message.as_str())
-                .cmp(&(b.file.as_str(), b.line, b.rule.id(), b.message.as_str()))
-        });
+    sort_diagnostics(&mut report.diagnostics);
     report
 }
 

@@ -52,6 +52,20 @@ fn fixture_counts_are_exact() {
     assert_eq!(count(Rule::R9), 3, "{diags:#?}");
 }
 
+/// Single-file linting reports in the same `(line, rule, message)`
+/// order the workspace report uses, whatever order the rules fire in.
+#[test]
+fn file_diagnostics_are_sorted() {
+    let (diags, _) = fixture_lint();
+    let keys: Vec<(u32, &str, &str)> = diags
+        .iter()
+        .map(|d| (d.line, d.rule.id(), d.message.as_str()))
+        .collect();
+    let mut sorted = keys.clone();
+    sorted.sort();
+    assert_eq!(keys, sorted);
+}
+
 #[test]
 fn cli_exits_nonzero_on_fixture_and_zero_on_workspace() {
     let lint_bin = env!("CARGO_BIN_EXE_mx-lint");

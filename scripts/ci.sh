@@ -86,7 +86,9 @@ echo "==> golden bytes (tests/golden_bytes.rs: store, delta-store, authority-ans
 cargo test --release --test golden_bytes -q
 
 echo "==> benchmark self-test (perfbench/: builds against the crates' public API and checks every workload at a tiny scale)"
-cargo test --release --manifest-path perfbench/Cargo.toml
+# --locked: a dependency edit in any crate perfbench builds must come
+# with its perfbench/Cargo.lock edit instead of rewriting it here.
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> delta gate (tests/delta_gate.rs: incremental append byte-identical to full recompute across seeds, event rates, threads 1/2/8)"
 cargo test --release --test delta_gate -q
