@@ -7,7 +7,7 @@ use mx_psl::PublicSuffixList;
 use mx_smtp::valid_fqdn;
 
 use crate::certgroup::CertGroups;
-use crate::input::ObservationSet;
+use crate::input::{IpObservation, ObservationSet};
 
 /// A provider identifier: a registered domain naming the entity that
 /// operates a piece of mail infrastructure.
@@ -60,41 +60,48 @@ pub fn compute_ip_ids(
     groups: &CertGroups,
     psl: &PublicSuffixList,
 ) -> HashMap<Ipv4Addr, IpIds> {
-    let mut entries: Vec<(Ipv4Addr, &crate::input::IpObservation)> =
+    let mut entries: Vec<(Ipv4Addr, &IpObservation)> =
         obs.ips.iter().map(|(ip, o)| (*ip, o)).collect();
     entries.sort_by_key(|&(ip, _)| ip);
     mx_par::par_map(&entries, |&(ip, ipobs)| {
-        let mut ids = IpIds::default();
-
-        // 2.1 ID from certificate.
-        if let Some(cert) = ipobs.valid_cert() {
-            if let Some(rep) = groups.representative_of(cert) {
-                ids.from_cert = Some(ProviderId::new(rep));
-            }
-        }
-
-        // 2.2 ID from Banner/EHLO: both must carry a valid FQDN whose
-        // registered domain agrees.
-        if let Some(data) = ipobs.scan.data() {
-            let banner_rd = data
-                .banner_host()
-                .filter(|h| valid_fqdn(h))
-                .and_then(|h| psl.registered_domain(h));
-            let ehlo_rd = data
-                .ehlo_host()
-                .filter(|h| valid_fqdn(h))
-                .and_then(|h| psl.registered_domain(h));
-            if let (Some(b), Some(e)) = (banner_rd, ehlo_rd) {
-                if b == e {
-                    ids.from_banner = Some(ProviderId::new(b));
-                }
-            }
-        }
-
-        (ip, ids)
+        let rep = ipobs.valid_cert().and_then(|c| groups.representative_of(c));
+        (ip, ip_ids(ipobs, rep, psl))
     })
     .into_iter()
     .collect()
+}
+
+/// Both IDs of one address, given the representative name of the group
+/// of the valid certificate it presents (if any).
+pub(crate) fn ip_ids(
+    ipobs: &IpObservation,
+    cert_rep: Option<&str>,
+    psl: &PublicSuffixList,
+) -> IpIds {
+    // 2.1 ID from certificate.
+    let mut ids = IpIds {
+        from_cert: cert_rep.map(ProviderId::new),
+        from_banner: None,
+    };
+
+    // 2.2 ID from Banner/EHLO: both must carry a valid FQDN whose
+    // registered domain agrees.
+    if let Some(data) = ipobs.scan.data() {
+        let banner_rd = data
+            .banner_host()
+            .filter(|h| valid_fqdn(h))
+            .and_then(|h| psl.registered_domain(h));
+        let ehlo_rd = data
+            .ehlo_host()
+            .filter(|h| valid_fqdn(h))
+            .and_then(|h| psl.registered_domain(h));
+        if let (Some(b), Some(e)) = (banner_rd, ehlo_rd) {
+            if b == e {
+                ids.from_banner = Some(ProviderId::new(b));
+            }
+        }
+    }
+    ids
 }
 
 #[cfg(test)]

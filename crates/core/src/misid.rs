@@ -210,7 +210,10 @@ pub fn check(
     knowledge: &ProviderKnowledge,
     psl: &PublicSuffixList,
 ) -> MisidReport {
-    let report = examine(assignments, obs, knowledge, psl, &Confidence::compute(obs));
+    let confidence = Confidence::compute(obs);
+    let report = examine(assignments, obs, knowledge, psl, |ip| {
+        confidence.score(obs, ip)
+    });
     for c in &report.corrections {
         if let Some(a) = assignments.get_mut(&c.exchange) {
             correct(a, c);
@@ -220,8 +223,9 @@ pub fn check(
 }
 
 /// Decide the misidentification check for every assignment without
-/// changing any: the report lists the examined exchanges and the
-/// corrections [`correct`] would apply, in sorted-name order.
+/// changing any, reading each address's confidence score from `score`:
+/// the report lists the examined exchanges and the corrections
+/// [`correct`] would apply, in sorted-name order.
 ///
 /// The per-exchange examination (confidence score, claimed hostnames,
 /// pattern matching, AS membership) only *reads* shared state, so it fans
@@ -233,7 +237,7 @@ pub(crate) fn examine(
     obs: &ObservationSet,
     knowledge: &ProviderKnowledge,
     psl: &PublicSuffixList,
-    confidence: &Confidence,
+    score: impl Fn(Ipv4Addr) -> usize + Sync,
 ) -> MisidReport {
     let mut report = MisidReport::default();
 
@@ -251,12 +255,7 @@ pub(crate) fn examine(
             return Decision::Skip;
         };
         // High-confidence assignments are trusted.
-        let score = a
-            .addrs
-            .iter()
-            .map(|&ip| confidence.score(obs, ip))
-            .max()
-            .unwrap_or(0);
+        let score = a.addrs.iter().map(|&ip| score(ip)).max().unwrap_or(0);
         if score >= knowledge.confidence_threshold {
             return Decision::Skip;
         }

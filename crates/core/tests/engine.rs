@@ -11,16 +11,23 @@
 //! random row adds, removals and re-points, exchange re-addressing and
 //! IP re-scans. The confidence threshold is low, so step-4 decisions
 //! flip as counts cross it. One long-lived engine sees every step.
+//!
+//! The engine maintains its coupled state — confidence counters, per-IP
+//! IDs and certificate groups — instead of recomputing it, so after
+//! every step that state is also held against `Confidence::compute`,
+//! `ipid::compute_ip_ids` and `certgroup::preprocess` over the same
+//! view, read through `Engine::coupled_state`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use mx_cert::{Certificate, CertificateBuilder, KeyId};
 use mx_dns::Name;
+use mx_infer::misid::Confidence;
 use mx_infer::{
-    certgroup, domainid, ipid, misid, mxid, DomainAssignment, DomainObservation, IpObservation,
-    MxAssignment, MxObservation, MxTargetObs, ObservationSet, Pattern, Pipeline, ProviderKnowledge,
-    ProviderProfile, ScanStatus,
+    certgroup, domainid, ipid, misid, mxid, DomainAssignment, DomainObservation, Engine,
+    IpObservation, MxAssignment, MxObservation, MxTargetObs, ObservationSet, Pattern, Pipeline,
+    ProviderKnowledge, ProviderProfile, ScanStatus,
 };
 use mx_psl::PublicSuffixList;
 use mx_rng::SmallRng;
@@ -293,6 +300,88 @@ fn reference(
     (domains, mx)
 }
 
+/// The engine's maintained coupled state equals the public stages over
+/// `view`: confidence counters, per-IP IDs, and every valid
+/// certificate's group representative, group and certificate counts.
+fn assert_coupled_state(engine: &Engine, view: &ObservationSet, psl: &PublicSuffixList, ctx: &str) {
+    let (confidence, ip_ids, groups) = engine.coupled_state();
+    let want = Confidence::compute(view);
+    assert_eq!(confidence.num_ip, want.num_ip, "{ctx}: numIP counters");
+    assert_eq!(
+        confidence.num_cert, want.num_cert,
+        "{ctx}: numCert counters"
+    );
+    let want_groups = certgroup::preprocess(view, psl);
+    assert_eq!(
+        ip_ids,
+        &ipid::compute_ip_ids(view, &want_groups, psl),
+        "{ctx}: per-IP IDs"
+    );
+    let mut ips: Vec<&IpObservation> = view.ips.values().collect();
+    ips.sort_by_key(|o| o.ip);
+    for cert in ips.into_iter().filter_map(|o| o.valid_cert()) {
+        assert_eq!(
+            groups.representative_of(cert),
+            want_groups.representative_of(cert),
+            "{ctx}: representative of {:?}",
+            cert.subject_cn
+        );
+    }
+    assert_eq!(
+        groups.cert_count(),
+        want_groups.cert_count(),
+        "{ctx}: certs"
+    );
+    assert_eq!(
+        groups.group_count(),
+        want_groups.group_count(),
+        "{ctx}: groups"
+    );
+    assert_eq!(
+        groups.registered_domain_counts, want_groups.registered_domain_counts,
+        "{ctx}: registered-domain counts"
+    );
+}
+
+/// The change set between two views, as the reconciler hands it over:
+/// the changed rows of `view`, the touched addresses and the names of
+/// the domains that left.
+fn change_set(
+    prev: &ObservationSet,
+    view: &ObservationSet,
+) -> (Vec<usize>, BTreeSet<Ipv4Addr>, Vec<Name>) {
+    let touched: BTreeSet<Ipv4Addr> = prev
+        .ips
+        .keys()
+        .chain(view.ips.keys())
+        .filter(|ip| prev.ips.get(ip) != view.ips.get(ip))
+        .copied()
+        .collect();
+    // A row changed if it is new or different, or if it names a
+    // re-scanned address.
+    let old_rows: HashMap<&Name, &DomainObservation> =
+        prev.domains.iter().map(|d| (&d.domain, d)).collect();
+    let changed_rows: Vec<usize> = (0..view.domains.len())
+        .filter(|&i| {
+            let row = &view.domains[i];
+            old_rows.get(&row.domain) != Some(&row)
+                || row
+                    .mx
+                    .targets()
+                    .iter()
+                    .any(|t| t.addrs.iter().any(|a| touched.contains(a)))
+        })
+        .collect();
+    let live: HashSet<&Name> = view.domains.iter().map(|d| &d.domain).collect();
+    let removed: Vec<Name> = prev
+        .domains
+        .iter()
+        .filter(|d| !live.contains(&d.domain))
+        .map(|d| d.domain.clone())
+        .collect();
+    (changed_rows, touched, removed)
+}
+
 #[test]
 fn long_lived_engine_matches_reference_and_run() {
     let psl = PublicSuffixList::builtin();
@@ -315,30 +404,8 @@ fn long_lived_engine_matches_reference_and_run() {
                 }
             }
             let view = world.view();
-            let touched: BTreeSet<Ipv4Addr> = prev
-                .ips
-                .keys()
-                .chain(view.ips.keys())
-                .filter(|ip| prev.ips.get(ip) != view.ips.get(ip))
-                .copied()
-                .collect();
-            // A row changed if it is new or different, or if it names a
-            // re-scanned address.
-            let old_rows: HashMap<&Name, &DomainObservation> =
-                prev.domains.iter().map(|d| (&d.domain, d)).collect();
-            let changed_rows: Vec<usize> = (0..view.domains.len())
-                .filter(|&i| {
-                    let row = &view.domains[i];
-                    old_rows.get(&row.domain) != Some(&row)
-                        || row
-                            .mx
-                            .targets()
-                            .iter()
-                            .any(|t| t.addrs.iter().any(|a| touched.contains(a)))
-                })
-                .collect();
-
-            let applied = engine.apply(&view, &changed_rows, &touched);
+            let (changed_rows, touched, removed) = change_set(&prev, &view);
+            let applied = engine.apply(&view, &changed_rows, &touched, &removed);
             if applied.assignments.len() > changed_rows.len() {
                 walked += 1;
             }
@@ -348,6 +415,7 @@ fn long_lived_engine_matches_reference_and_run() {
             attributed.retain(|d, _| view.domains.iter().any(|r| &r.domain == d));
 
             let ctx = format!("seed {seed} step {step}");
+            assert_coupled_state(&engine, &view, &psl, &ctx);
             let (ref_domains, ref_mx) = reference(&view, &knowledge, &psl);
             let run = pipeline.run(&view);
             let want: BTreeMap<Name, DomainAssignment> = ref_domains.into_iter().collect();
@@ -383,4 +451,125 @@ fn long_lived_engine_matches_reference_and_run() {
     // not change themselves.
     assert!(flips > 0, "no step-4 decision flipped");
     assert!(walked > 0, "no unchanged row was ever re-attributed");
+}
+
+/// Certificate groups split and join under a long-lived engine: a
+/// bridge certificate shares one FQDN with each of two groups, so its
+/// arrival joins them and the loss of the last address presenting it
+/// splits them again, moving representatives, per-IP IDs and
+/// attributions on both sides.
+#[test]
+fn groups_split_and_join_under_a_long_lived_engine() {
+    let psl = PublicSuffixList::builtin();
+    let knowledge = knowledge();
+    let pipeline = Pipeline::priority_based(knowledge.clone());
+    let ip = |i: u8| Ipv4Addr::new(10, 0, 1, i);
+    // Left group: two certificates under omega.test (four names);
+    // right group: one under beta.test (three names); the bridge at .4
+    // and .5 names one FQDN of each side.
+    let bridge = cert(14, "in.omega.test", &["in.beta.test"]);
+    let shapes = [
+        smtp(
+            ip(1),
+            500,
+            "mx.omega.test",
+            Some(cert(11, "mx.omega.test", &["mx2.omega.test"])),
+        ),
+        smtp(
+            ip(2),
+            500,
+            "in.omega.test",
+            Some(cert(12, "in.omega.test", &["mx.omega.test"])),
+        ),
+        smtp(
+            ip(3),
+            600,
+            "mx.beta.test",
+            Some(cert(13, "mx.beta.test", &["in.beta.test", "mx2.beta.test"])),
+        ),
+        smtp(ip(4), 700, "bridge.test", Some(bridge.clone())),
+        smtp(ip(5), 700, "bridge.test", Some(bridge)),
+    ];
+    let row = |d: &str, mx: usize, addrs: &[u8]| DomainObservation {
+        domain: Name::parse(d).unwrap(),
+        mx: MxObservation::Targets(vec![MxTargetObs {
+            preference: 10,
+            exchange: exchange_name(mx),
+            addrs: addrs.iter().map(|&i| ip(i)).collect(),
+        }]),
+    };
+    // The view over `rows`, with the addresses in `dead` answering
+    // without SMTP.
+    let view_of = |rows: &[DomainObservation], dead: &[u8]| {
+        let mut obs = ObservationSet::new();
+        obs.domains = rows.to_vec();
+        for d in &obs.domains {
+            for t in d.mx.targets() {
+                for a in &t.addrs {
+                    let i = a.octets()[3];
+                    let mut o = shapes[usize::from(i) - 1].clone();
+                    if dead.contains(&i) {
+                        o.scan = ScanStatus::NoSmtp;
+                        o.leaf_cert = None;
+                        o.cert_valid = false;
+                    }
+                    obs.ips.insert(*a, o);
+                }
+            }
+        }
+        obs
+    };
+    let apart = [
+        row("a.test", 0, &[1]),
+        row("b.test", 1, &[2]),
+        row("c.test", 2, &[3]),
+    ];
+    let mut bridged = apart.to_vec();
+    bridged.push(row("d.test", 3, &[4, 5]));
+    let steps = [
+        ("apart", view_of(&apart, &[])),
+        ("bridge joins", view_of(&bridged, &[])),
+        ("one presenter lost", view_of(&bridged, &[4])),
+        ("last presenter lost", view_of(&bridged, &[4, 5])),
+        ("bridge back", view_of(&bridged, &[])),
+        ("bridge domain removed", view_of(&apart, &[])),
+    ];
+
+    let mut engine = pipeline.engine();
+    let mut prev = ObservationSet::new();
+    let mut attributed: BTreeMap<Name, DomainAssignment> = BTreeMap::new();
+    let mut reps: Vec<Option<String>> = Vec::new();
+    for (label, view) in steps {
+        let (changed_rows, touched, removed) = change_set(&prev, &view);
+        for a in engine
+            .apply(&view, &changed_rows, &touched, &removed)
+            .assignments
+        {
+            attributed.insert(a.domain.clone(), a);
+        }
+        attributed.retain(|d, _| view.domains.iter().any(|r| &r.domain == d));
+        assert_coupled_state(&engine, &view, &psl, label);
+        let want: BTreeMap<Name, DomainAssignment> =
+            reference(&view, &knowledge, &psl).0.into_iter().collect();
+        assert_eq!(
+            attributed, want,
+            "{label}: engine vs reference attributions"
+        );
+        let (_, _, groups) = engine.coupled_state();
+        reps.push(
+            view.ips[&ip(3)]
+                .valid_cert()
+                .and_then(|c| groups.representative_of(c))
+                .map(str::to_string),
+        );
+        prev = view;
+    }
+    // The right group takes the left group's name while the bridge
+    // joins them, and its own back when the bridge is gone.
+    let own = Some("beta.test".to_string());
+    let joined = Some("omega.test".to_string());
+    assert_eq!(
+        reps,
+        [&own, &joined, &joined, &own, &joined, &own].map(Clone::clone),
+    );
 }

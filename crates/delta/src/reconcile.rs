@@ -410,7 +410,7 @@ impl Reconciler {
         }
         self.view_keys = obs.domains.iter().map(|d| d.domain.to_dotted()).collect();
         let every_row: Vec<usize> = (0..obs.domains.len()).collect();
-        let applied = self.engine.apply(&obs, &every_row, &BTreeSet::new());
+        let applied = self.engine.apply(&obs, &every_row, &BTreeSet::new(), &[]);
         let rows = assignment_rows(&applied.assignments, &self.companies);
         self.writer
             .add_epoch(&epoch_label(0), rows, &obs.acquisition)?;
@@ -440,9 +440,11 @@ impl Reconciler {
     /// re-attributed rows as a delta epoch on the hot writer. Returns
     /// the grown store bytes and the batch accounting.
     pub fn apply_batch(&mut self, batch: &[Event]) -> Result<(Vec<u8>, BatchStats), DeltaError> {
-        let _g = mx_obs::stage!(mx_obs::names::STAGE_DELTA_BATCH).enter();
+        use mx_obs::names;
+        let _g = mx_obs::stage!(names::STAGE_DELTA_BATCH).enter();
 
         // 1. Apply events, accumulating dirty seeds.
+        let phase = mx_obs::stage!(names::STAGE_DELTA_EVENTS, names::STAGE_DELTA_BATCH).enter();
         let mut dirty: BTreeSet<String> = BTreeSet::new();
         let mut invalidated: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut removed: BTreeSet<String> = BTreeSet::new();
@@ -452,11 +454,13 @@ impl Reconciler {
             invalidated.extend(fx.invalidated_ips);
             removed.extend(fx.removed);
         }
+        drop(phase);
 
         // 2. Close the dirty set over the reverse index: any domain
         // whose footprint (before or after the batch) touches an
         // invalidated address must re-measure. The index reflects the
         // pre-batch state here — that is the backwards half.
+        let phase = mx_obs::stage!(names::STAGE_DELTA_CLOSURE, names::STAGE_DELTA_BATCH).enter();
         for ip in &invalidated {
             if let Some(ds) = self.ref_index.get(ip) {
                 dirty.extend(ds.iter().cloned());
@@ -502,10 +506,12 @@ impl Reconciler {
         for ip in &invalidated {
             self.ip_cache.remove(ip);
         }
+        drop(phase);
 
         // 5. Re-resolve dirty domains against a world restricted to
         // them (providers and the silent pool are always materialised;
         // content-addressing makes the restricted answers exact).
+        let phase = mx_obs::stage!(names::STAGE_DELTA_RESOLVE, names::STAGE_DELTA_BATCH).enter();
         let to_resolve: Vec<String> = dirty
             .iter()
             .filter(|d| self.state.domains.contains_key(*d))
@@ -518,11 +524,13 @@ impl Reconciler {
             .map(|d| Name::parse(d).expect("state domain is a valid name"))
             .collect();
         let fresh = dns_rows(&world, &names);
+        drop(phase);
 
         // 6. Patch the joined view: fresh rows replace their old
         // selves in place; adds and deletes go through one sorted
         // merge pass; the measured-address refcounts track every row
         // that enters or leaves.
+        let phase = mx_obs::stage!(names::STAGE_DELTA_PATCH, names::STAGE_DELTA_BATCH).enter();
         let mut became: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut gone: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut inserts: Vec<(String, DomainObservation)> = Vec::new();
@@ -567,10 +575,14 @@ impl Reconciler {
             self.view.domains = merged;
             self.view_keys = keys;
         }
+        drop(phase);
 
         // 7. Scan whatever referenced addresses the cache is missing
         // (`measured`'s keys are exactly the addresses the view's rows
-        // name, in sorted order).
+        // name, in sorted order), then patch the view's referenced-IP
+        // maps: addresses that stopped being referenced drop out, newly
+        // referenced or re-scanned ones take their cached observation.
+        let phase = mx_obs::stage!(names::STAGE_DELTA_RESCAN, names::STAGE_DELTA_BATCH).enter();
         let to_scan: Vec<Ipv4Addr> = self
             .measured
             .keys()
@@ -578,10 +590,6 @@ impl Reconciler {
             .copied()
             .collect();
         self.ip_cache.extend(scan_ips(&world, &to_scan));
-
-        // 8. Patch the view's referenced-IP maps: addresses that
-        // stopped being referenced drop out, newly referenced or
-        // re-scanned ones take their cached observation.
         let mut touched: BTreeSet<Ipv4Addr> = became;
         touched.extend(gone);
         touched.extend(invalidated.iter().copied());
@@ -598,9 +606,11 @@ impl Reconciler {
                 self.view.acquisition.ips.remove(ip);
             }
         }
+        drop(phase);
 
-        // 9. Staged inference over the patched view: the re-resolved
-        // rows changed, and so did every touched address.
+        // 8. Staged inference over the patched view: the re-resolved
+        // rows changed, and so did every touched address; the departed
+        // domains' rows left it.
         let changed_rows: Vec<usize> = to_resolve
             .iter()
             .map(|d| {
@@ -609,20 +619,28 @@ impl Reconciler {
                     .expect("every re-resolved domain has a view row")
             })
             .collect();
-        let applied = self.engine.apply(&self.view, &changed_rows, &touched);
-        let new_rows = assignment_rows(&applied.assignments, &self.companies);
-
-        // 10. Append the epoch on the hot writer: its resolved view
-        // holds every other domain's row from earlier batches.
         let departed: Vec<String> = removed
             .into_iter()
             .filter(|d| !self.state.domains.contains_key(d))
             .collect();
+        let departed_names: Vec<Name> = departed
+            .iter()
+            .map(|d| Name::parse(d).expect("state domain is a valid name"))
+            .collect();
+        let applied = self
+            .engine
+            .apply(&self.view, &changed_rows, &touched, &departed_names);
+        let new_rows = assignment_rows(&applied.assignments, &self.companies);
+
+        // 9. Append the epoch on the hot writer: its resolved view
+        // holds every other domain's row from earlier batches.
+        let phase = mx_obs::stage!(names::STAGE_DELTA_APPEND, names::STAGE_DELTA_BATCH).enter();
         let label = epoch_label(self.epoch);
         self.writer
             .add_epoch_changes(&label, new_rows, departed, &self.view.acquisition)?;
         self.epoch += 1;
         let out = self.writer.snapshot();
+        drop(phase);
 
         let stats = BatchStats {
             events_applied: batch.len() as u64,
@@ -634,7 +652,6 @@ impl Reconciler {
             mx_reassigned: applied.mx_reassigned as u64,
             domains_reattributed: applied.assignments.len() as u64,
         };
-        use mx_obs::names;
         mx_obs::counter!(names::DELTA_EVENTS_APPLIED).add(stats.events_applied);
         mx_obs::counter!(names::DELTA_DOMAINS_DIRTY).add(stats.dirty_domains);
         mx_obs::counter!(names::DELTA_RERESOLVES).add(stats.reresolved);

@@ -236,6 +236,21 @@ pub const STAGE_REPORT_COVERAGE: &str = "report.coverage";
 /// One incremental-measurement batch: apply events, re-measure the
 /// dirty set, append a delta epoch.
 pub const STAGE_DELTA_BATCH: &str = "delta.batch";
+/// Batch phase: applying the events to the world state.
+pub const STAGE_DELTA_EVENTS: &str = "delta.batch.events";
+/// Batch phase: closing the dirty set over the reverse index, rolling
+/// the index forward and invalidating the scan cache.
+pub const STAGE_DELTA_CLOSURE: &str = "delta.batch.closure";
+/// Batch phase: materialising the restricted world and re-resolving
+/// the dirty domains.
+pub const STAGE_DELTA_RESOLVE: &str = "delta.batch.resolve";
+/// Batch phase: patching the fresh rows into the joined view.
+pub const STAGE_DELTA_PATCH: &str = "delta.batch.patch";
+/// Batch phase: scanning uncached addresses and patching the view's
+/// address maps.
+pub const STAGE_DELTA_RESCAN: &str = "delta.batch.rescan";
+/// Batch phase: appending the epoch and emitting the store bytes.
+pub const STAGE_DELTA_APPEND: &str = "delta.batch.append";
 /// Encoding one study into a store file (all epochs).
 pub const STAGE_STORE_WRITE: &str = "store.write";
 /// Opening a store file: header, tables and block-index decode.
@@ -380,6 +395,12 @@ pub fn preregister() {
         (STAGE_INFER_DOMAINID, Some(STAGE_INFER)),
         (STAGE_REPORT_COVERAGE, None),
         (STAGE_DELTA_BATCH, None),
+        (STAGE_DELTA_EVENTS, Some(STAGE_DELTA_BATCH)),
+        (STAGE_DELTA_CLOSURE, Some(STAGE_DELTA_BATCH)),
+        (STAGE_DELTA_RESOLVE, Some(STAGE_DELTA_BATCH)),
+        (STAGE_DELTA_PATCH, Some(STAGE_DELTA_BATCH)),
+        (STAGE_DELTA_RESCAN, Some(STAGE_DELTA_BATCH)),
+        (STAGE_DELTA_APPEND, Some(STAGE_DELTA_BATCH)),
         (STAGE_STORE_WRITE, None),
         (STAGE_STORE_READ, None),
         (STAGE_SERVE_TRACE, None),

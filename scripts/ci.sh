@@ -93,6 +93,9 @@ cargo test --release --locked --manifest-path perfbench/Cargo.toml
 echo "==> delta gate (tests/delta_gate.rs: incremental append byte-identical to full recompute across seeds, event rates, threads 1/2/8)"
 cargo test --release --test delta_gate -q
 
+echo "==> engine gate (crates/core/tests/engine.rs: a long-lived inference engine's attributions and maintained confidence counts, per-IP IDs and certificate groups equal the public stages after every change)"
+cargo test --release -p mx-infer --test engine -q
+
 echo "==> delta codec robustness (tests/malformed_input.rs: event-log decoding rejects corruption without panicking)"
 cargo test --release --test malformed_input -q
 

@@ -4,7 +4,8 @@
 //! reconcile exactly with the acquisition accounting the observation
 //! sets carry — making the obs layer the single cross-check source for
 //! the resilience numbers instead of a second, driftable bookkeeping
-//! path.
+//! path. One traced delta batch must enter each of its phase stages
+//! once and grow the store exactly as an untraced one.
 //!
 //! One `#[test]` on purpose: the obs registry is process-global, so the
 //! whole scenario runs under a single reset/capture bracket.
@@ -15,6 +16,7 @@ use std::net::Ipv4Addr;
 use mx_analysis::coverage::{self, ResilienceCounts};
 use mx_analysis::observe::{observe_world, SnapshotData};
 use mx_corpus::{ScenarioConfig, Study};
+use mx_delta::{generate_events, EventStreamConfig, Reconciler, WorldState};
 use mx_infer::{IpAcquisition, Pipeline};
 use mx_net::{DnsFaults, FaultPlan, SmtpFaults};
 use mx_obs::names;
@@ -232,5 +234,38 @@ fn obs_snapshots_are_deterministic_and_reconcile() {
     assert!(counter(names::FAULT_SCAN_FIRED) > 0, "chaos drew no scan faults");
     assert!(counter(names::FAULT_DNS_FIRED) > 0, "chaos drew no dns faults");
 
+    // --- One traced delta batch enters `delta.batch` and each of its
+    // phases exactly once, and tracing changes no store byte.
+    let initial = WorldState::seeded(3, 120);
+    let log = generate_events(
+        &initial,
+        &EventStreamConfig {
+            seed: 3,
+            batches: 1,
+            churn: 0.1,
+            adds_per_batch: 2,
+        },
+    );
     mx_obs::set_enabled(false);
+    let mut untraced = Reconciler::new(initial.clone());
+    untraced.base_store().expect("base builds");
+    let (want, _) = untraced.apply_batch(&log[0]).expect("batch applies");
+    let mut traced = Reconciler::new(initial);
+    traced.base_store().expect("base builds");
+    mx_obs::reset();
+    mx_obs::set_enabled(true);
+    let (got, _) = traced.apply_batch(&log[0]).expect("batch applies");
+    mx_obs::set_enabled(false);
+    assert_eq!(got, want, "tracing changed a delta epoch");
+    for phase in [
+        names::STAGE_DELTA_BATCH,
+        names::STAGE_DELTA_EVENTS,
+        names::STAGE_DELTA_CLOSURE,
+        names::STAGE_DELTA_RESOLVE,
+        names::STAGE_DELTA_PATCH,
+        names::STAGE_DELTA_RESCAN,
+        names::STAGE_DELTA_APPEND,
+    ] {
+        assert_eq!(stage_totals(phase).enters, 1, "{phase} enters per batch");
+    }
 }
