@@ -49,7 +49,7 @@ pub enum AcqFault {
 /// and whether (and how) it degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpAcquisition {
-    /// Connection attempts consumed across the scan (window).
+    /// Connection attempts consumed across the scan.
     pub attempts: u32,
     /// An earlier attempt failed but a later one captured the data.
     pub recovered: bool,

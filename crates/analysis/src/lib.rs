@@ -42,7 +42,7 @@ pub use country::CountryMatrix;
 pub use coverage::{CoverageBreakdown, CoverageCategory, ResilienceCounts};
 pub use longitudinal::{LongitudinalSeries, SeriesPoint};
 pub use market::{MarketShare, MarketShareRow};
-pub use observe::{observe_world, observe_world_with, ObserveConfig, SnapshotData};
+pub use observe::{observe_world, SnapshotData};
 pub use report::{pct, Table};
 pub use store::{
     churn_from_store, churn_from_store_merged, credit_shares_at, domains_of_provider,

@@ -4,11 +4,8 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use mx_corpus::{Dataset, World};
-use mx_infer::{
-    AcqFault, AcquisitionReport, DnsAcquisition, DomainObservation, IpAcquisition, IpObservation,
-    MxObservation, MxTargetObs, ObservationSet, ScanStatus,
-};
-use mx_net::{openintel, Missed, PortState, Scanner};
+use mx_infer::{DnsAcquisition, DomainObservation, IpAcquisition, IpObservation, ObservationSet};
+use mx_net::{openintel, Scanner};
 
 /// The fully-joined measurement data of one snapshot.
 pub struct SnapshotData {
@@ -30,49 +27,39 @@ impl SnapshotData {
     }
 }
 
-/// Knobs for the measurement run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ObserveConfig {
-    /// Half-width of the scan window in rounds. Zero (the default) is a
-    /// single sweep; `w > 0` merges the best observation per IP across
-    /// rounds `epoch - w ..= epoch + w`, the way longitudinal scan data
-    /// papers over transient per-round losses.
-    pub scan_width: u64,
-}
-
 /// Run the measurement over a world: per-dataset DNS measurement, a single
 /// shared port-25 scan sweep over every discovered MX IP, certificate
 /// validation against the world's trust store, and prefix2as annotation.
 ///
 /// Every stage fans out over the shared `mx_par` pool — datasets for the
 /// DNS measurement, IPs for the scan (inside [`Scanner::scan`]) and for
-/// the cert-validation/prefix2as join, datasets again for assembly. The
-/// network is immutable and each task's output is keyed by dataset or
-/// address, so the snapshot is bit-identical to a serial run.
+/// the cert-validation/prefix2as join. The network is immutable and each
+/// task's output is keyed by dataset or address, so the snapshot is
+/// bit-identical to a serial run.
 pub fn observe_world(world: &World) -> SnapshotData {
-    observe_world_with(world, &ObserveConfig::default())
-}
-
-/// [`observe_world`] with explicit configuration.
-pub fn observe_world_with(world: &World, cfg: &ObserveConfig) -> SnapshotData {
     let _obs_run = mx_obs::stage!(mx_obs::names::STAGE_OBSERVE).enter();
-    let scanner = Scanner::new();
-    let epoch = world.snapshot as u64;
 
-    // 1. DNS measurement per dataset (OpenINTEL).
+    // 1. DNS measurement per dataset (OpenINTEL), rows moved out of
+    // each snapshot.
     let _s_resolve = mx_obs::stage!(
         mx_obs::names::STAGE_OBSERVE_RESOLVE,
         mx_obs::names::STAGE_OBSERVE
     )
     .enter();
-    let dns_per_dataset: Vec<(Dataset, openintel::DnsSnapshot)> =
-        mx_par::par_map(&world.targets, |(ds, names)| {
-            (*ds, openintel::measure(&world.net, names))
-        });
-    let mut all_ips: Vec<Ipv4Addr> = Vec::new();
-    for (_, snap) in &dns_per_dataset {
-        all_ips.extend(snap.all_mx_ips());
-    }
+    let measured = mx_par::par_map(&world.targets, |(ds, names)| {
+        let snap = openintel::measure(&world.net, names);
+        let ips = snap.all_mx_ips();
+        let rows: Vec<DomainObservation> = snap
+            .rows
+            .into_iter()
+            .map(|(domain, mx)| DomainObservation { domain, mx })
+            .collect();
+        (*ds, ips, rows, snap.degraded)
+    });
+    let mut all_ips: Vec<Ipv4Addr> = measured
+        .iter()
+        .flat_map(|(_, ips, _, _)| ips.iter().copied())
+        .collect();
     all_ips.sort();
     all_ips.dedup();
     drop(_s_resolve);
@@ -83,170 +70,50 @@ pub fn observe_world_with(world: &World, cfg: &ObserveConfig) -> SnapshotData {
         mx_obs::names::STAGE_OBSERVE
     )
     .enter();
-    let scan = if cfg.scan_width == 0 {
-        scanner.scan(&world.net, &all_ips, epoch)
-    } else {
-        scanner.scan_window(&world.net, &all_ips, epoch, cfg.scan_width)
-    };
+    let scan = Scanner::new().scan(&world.net, &all_ips, world.snapshot as u64);
     drop(_s_scan);
 
-    // Per-IP acquisition accounting: cost and degradation behind each row.
-    let acq_by_ip: HashMap<Ipv4Addr, IpAcquisition> = all_ips
-        .iter()
-        .map(|&ip| {
-            let acq = if let Some(o) = scan.observation(ip) {
-                IpAcquisition {
-                    attempts: o.attempts,
-                    recovered: o.recovered,
-                    exhausted: false,
-                    blocked: false,
-                    // `ScanFault` *is* `AcqFault` (shared `mx-acq`
-                    // vocabulary); the fault carries over unchanged.
-                    fault: o.fault,
-                }
-            } else {
-                match scan.missed.get(&ip) {
-                    Some(Missed::Blocked) => IpAcquisition {
-                        attempts: 0,
-                        recovered: false,
-                        exhausted: false,
-                        blocked: true,
-                        fault: None,
-                    },
-                    Some(Missed::Exhausted { attempts }) => IpAcquisition {
-                        attempts: *attempts,
-                        recovered: false,
-                        exhausted: true,
-                        blocked: false,
-                        fault: Some(AcqFault::Transient),
-                    },
-                    // Unreachable routing hole: no attempt ever completed.
-                    None => IpAcquisition {
-                        attempts: 0,
-                        recovered: false,
-                        exhausted: false,
-                        blocked: true,
-                        fault: None,
-                    },
-                }
-            };
-            (ip, acq)
-        })
-        .collect();
-
-    // 3. Join: per-IP observation with ASN + cert validation.
+    // 3. Join: per-IP observation with ASN + cert validation, and the
+    // acquisition accounting behind it.
     let _s_join = mx_obs::stage!(
         mx_obs::names::STAGE_OBSERVE_JOIN,
         mx_obs::names::STAGE_OBSERVE
     )
     .enter();
     let now = world.net.clock().now();
-    let ip_obs: HashMap<Ipv4Addr, IpObservation> = mx_par::par_map(&all_ips, |&ip| {
-        let asn = world.net.asn_of(ip);
-        let obs = match scan.get(ip) {
-            None => IpObservation::uncovered(ip, asn),
-            Some(PortState::Closed) | Some(PortState::NoBanner) => IpObservation {
-                ip,
-                asn,
-                scan: ScanStatus::NoSmtp,
-                leaf_cert: None,
-                cert_valid: false,
-            },
-            Some(PortState::Open(data)) => {
-                let leaf = data.leaf_certificate().cloned();
-                let cert_valid = data
-                    .starttls
-                    .chain()
-                    .is_some_and(|chain| {
-                        mx_cert::chain_trusted(chain, &world.trust, now).is_ok()
-                    });
-                IpObservation {
-                    ip,
-                    asn,
-                    scan: ScanStatus::Smtp(data.clone()),
-                    leaf_cert: leaf,
-                    cert_valid,
-                }
-            }
-        };
-        (ip, obs)
-    })
-    .into_iter()
-    .collect();
+    let table: HashMap<Ipv4Addr, (IpObservation, IpAcquisition)> =
+        mx_par::par_map(&all_ips, |&ip| {
+            let asn = world.net.asn_of(ip);
+            let obs = IpObservation::from_scan(ip, asn, scan.get(ip), &world.trust, now);
+            (ip, (obs, scan.acquisition(ip)))
+        })
+        .into_iter()
+        .collect();
     drop(_s_join);
 
-    // 4. Assemble per-dataset observation sets (sharing the IP view).
+    // 4. Assemble per-dataset observation sets, each restricted to the
+    // addresses it references (the per-dataset tables of the paper).
     let _s_assemble = mx_obs::stage!(
         mx_obs::names::STAGE_OBSERVE_ASSEMBLE,
         mx_obs::names::STAGE_OBSERVE
     )
     .enter();
-    let per_dataset = mx_par::par_map(&dns_per_dataset, |(ds, snap)| {
-            let domains: Vec<DomainObservation> = snap
-                .rows
-                .iter()
-                .map(|(name, m)| {
-                    let mx = match m {
-                        openintel::MxMeasurement::NoMx => MxObservation::NoMx,
-                        openintel::MxMeasurement::Error(_) => MxObservation::NoMx,
-                        openintel::MxMeasurement::Records { targets, null_mx } => {
-                            if targets.is_empty() && *null_mx {
-                                MxObservation::NullMx
-                            } else {
-                                MxObservation::Targets(
-                                    targets
-                                        .iter()
-                                        .map(|t| MxTargetObs {
-                                            preference: t.preference,
-                                            exchange: t.exchange.clone(),
-                                            addrs: t.addrs.clone(),
-                                        })
-                                        .collect(),
-                                )
-                            }
-                        }
-                    };
-                    DomainObservation {
-                        domain: name.clone(),
-                        mx,
-                    }
-                })
-                .collect();
-            // Restrict the IP view to addresses this dataset references,
-            // mirroring the per-dataset tables of the paper. Acquisition
-            // accounting follows the same restriction.
-            let mut ips = HashMap::new();
-            let mut acquisition = AcquisitionReport::default();
-            for d in &domains {
-                for t in d.mx.targets() {
-                    for a in &t.addrs {
-                        if let Some(o) = ip_obs.get(a) {
-                            ips.entry(*a).or_insert_with(|| o.clone());
-                        }
-                        if let Some(acq) = acq_by_ip.get(a) {
-                            acquisition.ips.entry(*a).or_insert(*acq);
-                        }
-                    }
-                }
-            }
-            for (name, deg) in &snap.degraded {
-                acquisition.domains.insert(
-                    name.clone(),
+    let per_dataset = measured
+        .into_iter()
+        .map(|(ds, _, rows, degraded)| {
+            let mut set = ObservationSet::from_rows(rows, &table);
+            for (name, deg) in degraded {
+                set.acquisition.domains.insert(
+                    name,
                     DnsAcquisition {
                         retries: deg.retries,
                         exhausted: deg.exhausted,
                     },
                 );
             }
-            (
-                *ds,
-                ObservationSet {
-                    domains,
-                    ips,
-                    acquisition,
-                },
-            )
-        });
+            (ds, set)
+        })
+        .collect();
 
     SnapshotData {
         date: now,
@@ -259,6 +126,7 @@ pub fn observe_world_with(world: &World, cfg: &ObserveConfig) -> SnapshotData {
 mod tests {
     use super::*;
     use mx_corpus::{ScenarioConfig, Study};
+    use mx_infer::ScanStatus;
 
     #[test]
     fn observe_small_world() {
@@ -297,35 +165,6 @@ mod tests {
             acq.total_attempts() >= acq.ips.len() as u64,
             "attempts must be at least one per attempted IP"
         );
-    }
-
-    #[test]
-    fn scan_window_improves_coverage() {
-        let study = Study::generate(ScenarioConfig::small(3));
-        let world = study.world_at(8);
-        let single = observe_world(&world);
-        let windowed = observe_world_with(&world, &ObserveConfig { scan_width: 1 });
-        let exhausted = |d: &SnapshotData| {
-            d.dataset(Dataset::Alexa)
-                .unwrap()
-                .acquisition
-                .exhausted_ips()
-        };
-        assert!(exhausted(&single) > 0, "need exhausted IPs to recover");
-        assert!(
-            exhausted(&windowed) < exhausted(&single),
-            "window {} vs single {}",
-            exhausted(&windowed),
-            exhausted(&single)
-        );
-        // Blocked IPs stay blocked: the window cannot heal opt-outs.
-        let blocked = |d: &SnapshotData| {
-            d.dataset(Dataset::Alexa)
-                .unwrap()
-                .acquisition
-                .blocked_ips()
-        };
-        assert_eq!(blocked(&single), blocked(&windowed));
     }
 
     #[test]

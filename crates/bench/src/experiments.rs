@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 use mx_analysis::{accuracy, churn, country, coverage, market, observe, report::pct, Table};
 use mx_corpus::{Dataset, SNAPSHOT_DATES};
 use mx_dns::{dns_name, RData, SimClock, Timestamp, Zone};
-use mx_infer::{Pipeline, Strategy};
+use mx_infer::{DomainObservation, IpObservation, ObservationSet, Pipeline, Strategy};
 use mx_net::SimNet;
 use mx_smtp::SmtpServerConfig;
 
@@ -141,7 +141,6 @@ pub fn exp_tables123() -> String {
         .headers(["Domain", "MX", "MX IP", "ASN of IP"]);
     let mut t2 = Table::new("Table 2: SMTP session data")
         .headers(["Domain", "Banner/EHLO", "Subject CN"]);
-    let mut obs = mx_infer::ObservationSet::new();
     for name in &domains {
         let m = &dns.rows[name];
         let t = &m.targets()[0];
@@ -163,40 +162,21 @@ pub fn exp_tables123() -> String {
             None => ("N/A".into(), "N/A".into()),
         };
         t2.row([name.to_string(), banner, cn]);
-        obs.domains.push(mx_infer::DomainObservation {
-            domain: name.clone(),
-            mx: mx_infer::MxObservation::Targets(vec![mx_infer::MxTargetObs {
-                preference: t.preference,
-                exchange: t.exchange.clone(),
-                addrs: t.addrs.clone(),
-            }]),
-        });
     }
     let now = net.clock().now();
-    for ip in &ips {
-        let asn = net.asn_of(*ip);
-        let o = match scan.get(*ip) {
-            Some(mx_net::PortState::Open(d)) => mx_infer::IpObservation {
-                ip: *ip,
-                asn,
-                leaf_cert: d.leaf_certificate().cloned(),
-                cert_valid: d
-                    .starttls
-                    .chain()
-                    .is_some_and(|c| mx_cert::chain_trusted(c, &trust, now).is_ok()),
-                scan: mx_infer::ScanStatus::Smtp(d.clone()),
-            },
-            Some(_) => mx_infer::IpObservation {
-                ip: *ip,
-                asn,
-                leaf_cert: None,
-                cert_valid: false,
-                scan: mx_infer::ScanStatus::NoSmtp,
-            },
-            None => mx_infer::IpObservation::uncovered(*ip, asn),
-        };
-        obs.ips.insert(*ip, o);
-    }
+    let table = ips
+        .iter()
+        .map(|&ip| {
+            let o = IpObservation::from_scan(ip, net.asn_of(ip), scan.get(ip), &trust, now);
+            (ip, (o, scan.acquisition(ip)))
+        })
+        .collect();
+    let rows = dns
+        .rows
+        .into_iter()
+        .map(|(domain, mx)| DomainObservation { domain, mx })
+        .collect();
+    let obs = ObservationSet::from_rows(rows, &table);
     let result = Pipeline::new(Strategy::PriorityBased).run(&obs);
     let mx_only = Pipeline::new(Strategy::MxOnly).run(&obs);
 

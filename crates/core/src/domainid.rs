@@ -107,12 +107,12 @@ pub fn is_self_hosted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{MxObservation, MxTargetObs};
+    use crate::input::{MxObservation, MxTarget};
     use mx_dns::dns_name;
     use mx_psl::PublicSuffixList;
 
-    fn target(pref: u16, ex: &str) -> MxTargetObs {
-        MxTargetObs {
+    fn target(pref: u16, ex: &str) -> MxTarget {
+        MxTarget {
             preference: pref,
             exchange: dns_name!(ex),
             addrs: vec![],

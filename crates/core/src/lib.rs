@@ -37,7 +37,11 @@
 //!
 //! The crate is measurement-only: it consumes an [`ObservationSet`]
 //! (the join of the DNS measurement, the port-25 scan, and prefix2as data)
-//! and never sees generator ground truth.
+//! and never sees generator ground truth. The join's rules live in
+//! [`input`]: [`MxObservation`] rows of [`MxTarget`]s (the `mx-dns` shape,
+//! re-exported), [`IpObservation::from_scan`] per scanned address, and
+//! [`ObservationSet::from_rows`] to restrict the address views; every
+//! producer of an observation set calls these.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +63,7 @@ pub use company::{CompanyMap, ProviderIdRow};
 pub use domainid::{DomainAssignment, Share};
 pub use input::{
     AcqFault, AcquisitionReport, DnsAcquisition, DomainObservation, IpAcquisition, IpObservation,
-    MxObservation, MxTargetObs, ObservationSet, ScanStatus,
+    MxObservation, MxTarget, ObservationSet, ScanStatus,
 };
 pub use ipid::{IpIds, ProviderId};
 pub use misid::{Correction, CorrectionReason, ProviderKnowledge, ProviderProfile};

@@ -358,7 +358,7 @@ fn claimed_hosts(obs: &ObservationSet, a: &MxAssignment) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{DomainObservation, IpObservation, MxObservation, MxTargetObs, ScanStatus};
+    use crate::input::{DomainObservation, IpObservation, MxObservation, MxTarget, ScanStatus};
     use mx_cert::{CertificateBuilder, KeyId};
     use mx_dns::dns_name;
     use mx_smtp::{SmtpScanData, StartTlsOutcome};
@@ -392,7 +392,7 @@ mod tests {
         for i in 0..n_domains {
             obs.domains.push(DomainObservation {
                 domain: dns_name!(&format!("cust{i}.test")),
-                mx: MxObservation::Targets(vec![MxTargetObs {
+                mx: MxObservation::Targets(vec![MxTarget {
                     preference: 10,
                     exchange: dns_name!(&format!("mx.cust{i}.test")),
                     addrs: vec![ip(addr)],

@@ -746,7 +746,7 @@ fn bump<K: Copy + Ord + Hash>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{DomainObservation, IpObservation, MxObservation, MxTargetObs, ScanStatus};
+    use crate::input::{DomainObservation, IpObservation, MxObservation, MxTarget, ScanStatus};
     use mx_cert::{Certificate, CertificateBuilder, KeyId};
     use mx_dns::dns_name;
     use mx_smtp::{SmtpScanData, StartTlsOutcome};
@@ -814,7 +814,7 @@ mod tests {
         );
         let mk = |domain: &str, mx: &str, addr: &str| DomainObservation {
             domain: dns_name!(domain),
-            mx: MxObservation::Targets(vec![MxTargetObs {
+            mx: MxObservation::Targets(vec![MxTarget {
                 preference: 10,
                 exchange: dns_name!(mx),
                 addrs: vec![ip(addr)],
@@ -894,7 +894,7 @@ mod tests {
         let mut obs = table12_world();
         obs.domains.push(DomainObservation {
             domain: dns_name!("another.com"),
-            mx: MxObservation::Targets(vec![MxTargetObs {
+            mx: MxObservation::Targets(vec![MxTarget {
                 preference: 1,
                 exchange: dns_name!("aspmx.l.google.com"),
                 addrs: vec![ip("172.217.222.26")],

@@ -93,7 +93,7 @@ pub fn assignment_from_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{DomainObservation, MxObservation, MxTargetObs, ObservationSet};
+    use crate::input::{DomainObservation, MxObservation, MxTarget, ObservationSet};
     use crate::pipeline::{Pipeline, Strategy};
     use mx_dns::dns_name;
     use mx_store::{StoreReader, StoreWriter};
@@ -102,7 +102,7 @@ mod tests {
         let mut obs = ObservationSet::new();
         obs.domains = vec![DomainObservation {
             domain: dns_name!(domain),
-            mx: MxObservation::Targets(vec![MxTargetObs {
+            mx: MxObservation::Targets(vec![MxTarget {
                 preference: 10,
                 exchange: dns_name!(mx),
                 addrs: vec![],

@@ -26,7 +26,7 @@ use mx_dns::Name;
 use mx_infer::misid::Confidence;
 use mx_infer::{
     certgroup, domainid, ipid, misid, mxid, DomainAssignment, DomainObservation, Engine,
-    IpObservation, MxAssignment, MxObservation, MxTargetObs, ObservationSet, Pattern, Pipeline,
+    IpObservation, MxAssignment, MxObservation, MxTarget, ObservationSet, Pattern, Pipeline,
     ProviderKnowledge, ProviderProfile, ScanStatus,
 };
 use mx_psl::PublicSuffixList;
@@ -240,7 +240,7 @@ impl World {
                 MxObservation::Targets(
                     targets
                         .iter()
-                        .map(|&(preference, j)| MxTargetObs {
+                        .map(|&(preference, j)| MxTarget {
                             preference,
                             exchange: exchange_name(j),
                             addrs: self.exchanges[j].clone(),
@@ -492,7 +492,7 @@ fn groups_split_and_join_under_a_long_lived_engine() {
     ];
     let row = |d: &str, mx: usize, addrs: &[u8]| DomainObservation {
         domain: Name::parse(d).unwrap(),
-        mx: MxObservation::Targets(vec![MxTargetObs {
+        mx: MxObservation::Targets(vec![MxTarget {
             preference: 10,
             exchange: exchange_name(mx),
             addrs: addrs.iter().map(|&i| ip(i)).collect(),

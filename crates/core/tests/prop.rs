@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 use mx_dns::Name;
 use mx_infer::Strategy as InferStrategy;
 use mx_infer::{
-    DomainObservation, IpObservation, MxObservation, MxTargetObs, ObservationSet, Pattern,
+    DomainObservation, IpObservation, MxObservation, MxTarget, ObservationSet, Pattern,
     Pipeline, ScanStatus, SpfRecord,
 };
 use mx_rng::SmallRng;
@@ -67,8 +67,8 @@ fn gen_observation_set(rng: &mut SmallRng) -> ObservationSet {
         if !seen.insert(domain.clone()) {
             continue;
         }
-        let targets: Vec<MxTargetObs> = (0..rng.gen_range(0..4usize))
-            .map(|_| MxTargetObs {
+        let targets: Vec<MxTarget> = (0..rng.gen_range(0..4usize))
+            .map(|_| MxTarget {
                 preference: rng.gen_range(0u16..50),
                 exchange: gen_name(rng),
                 addrs: (0..rng.gen_range(0..3usize))

@@ -28,11 +28,10 @@ use std::net::Ipv4Addr;
 
 use mx_dns::Name;
 use mx_infer::{
-    assignment_rows, result_rows, AcqFault, AcquisitionReport, CompanyMap, DomainObservation,
-    Engine, IpAcquisition, IpObservation, MxObservation, MxTargetObs, ObservationSet, Pipeline,
-    ProviderKnowledge, ProviderProfile, ScanStatus,
+    assignment_rows, result_rows, CompanyMap, DomainObservation, Engine, IpAcquisition,
+    IpObservation, ObservationSet, Pipeline, ProviderKnowledge, ProviderProfile,
 };
-use mx_net::{openintel, Missed, PortState, Scanner};
+use mx_net::{openintel, Scanner};
 use mx_store::StoreWriter;
 
 use crate::event::{DeltaError, Event};
@@ -76,70 +75,18 @@ pub fn epoch_label(k: usize) -> String {
 // ------------------------------------------------------------ measurement
 
 /// Scan `ips` in the pinned epoch and join each with routing and
-/// certificate validation, mirroring the full pipeline's data
-/// gathering exactly (same acquisition classification, same
-/// trust-store judgement at the world's pinned clock).
+/// certificate validation through the same join as the full
+/// pipeline's data gathering, at the world's pinned clock.
 fn scan_ips(
     world: &DeltaWorld,
     ips: &[Ipv4Addr],
 ) -> HashMap<Ipv4Addr, (IpObservation, IpAcquisition)> {
-    let scanner = Scanner::new();
-    let scan = scanner.scan(&world.net, ips, 0);
+    let scan = Scanner::new().scan(&world.net, ips, 0);
     let now = world.net.clock().now();
-    let ips_vec: Vec<Ipv4Addr> = ips.to_vec();
-    mx_par::par_map(&ips_vec, |&ip| {
-        let acq = if let Some(o) = scan.observation(ip) {
-            IpAcquisition {
-                attempts: o.attempts,
-                recovered: o.recovered,
-                exhausted: false,
-                blocked: false,
-                fault: o.fault,
-            }
-        } else {
-            match scan.missed.get(&ip) {
-                Some(Missed::Exhausted { attempts }) => IpAcquisition {
-                    attempts: *attempts,
-                    recovered: false,
-                    exhausted: true,
-                    blocked: false,
-                    fault: Some(AcqFault::Transient),
-                },
-                Some(Missed::Blocked) | None => IpAcquisition {
-                    attempts: 0,
-                    recovered: false,
-                    exhausted: false,
-                    blocked: true,
-                    fault: None,
-                },
-            }
-        };
+    mx_par::par_map(ips, |&ip| {
         let asn = world.net.asn_of(ip);
-        let obs = match scan.get(ip) {
-            None => IpObservation::uncovered(ip, asn),
-            Some(PortState::Closed) | Some(PortState::NoBanner) => IpObservation {
-                ip,
-                asn,
-                scan: ScanStatus::NoSmtp,
-                leaf_cert: None,
-                cert_valid: false,
-            },
-            Some(PortState::Open(data)) => {
-                let leaf = data.leaf_certificate().cloned();
-                let cert_valid = data
-                    .starttls
-                    .chain()
-                    .is_some_and(|chain| mx_cert::chain_trusted(chain, &world.trust, now).is_ok());
-                IpObservation {
-                    ip,
-                    asn,
-                    scan: ScanStatus::Smtp(data.clone()),
-                    leaf_cert: leaf,
-                    cert_valid,
-                }
-            }
-        };
-        (ip, (obs, acq))
+        let obs = IpObservation::from_scan(ip, asn, scan.get(ip), &world.trust, now);
+        (ip, (obs, scan.acquisition(ip)))
     })
     .into_iter()
     .collect()
@@ -154,58 +101,13 @@ fn dns_rows(world: &DeltaWorld, names: &[Name]) -> Vec<DomainObservation> {
     debug_assert!(snap.degraded.is_empty(), "delta worlds must resolve fault-free");
     let mut rows: Vec<DomainObservation> = snap
         .rows
-        .iter()
-        .map(|(name, m)| {
-            let mx = match m {
-                openintel::MxMeasurement::NoMx | openintel::MxMeasurement::Error(_) => {
-                    MxObservation::NoMx
-                }
-                openintel::MxMeasurement::Records { targets, null_mx } => {
-                    if targets.is_empty() && *null_mx {
-                        MxObservation::NullMx
-                    } else {
-                        MxObservation::Targets(
-                            targets
-                                .iter()
-                                .map(|t| MxTargetObs {
-                                    preference: t.preference,
-                                    exchange: t.exchange.clone(),
-                                    addrs: t.addrs.clone(),
-                                })
-                                .collect(),
-                        )
-                    }
-                }
-            };
-            DomainObservation { domain: name.clone(), mx }
-        })
+        .into_iter()
+        .map(|(domain, mx)| DomainObservation { domain, mx })
         .collect();
     // Both the incremental and the full path order domains by dotted
     // name so the joined observation sets are identical structures.
     rows.sort_by_cached_key(|r| r.domain.to_dotted());
     rows
-}
-
-/// Join sorted domain rows with the IP table, restricting the IP and
-/// acquisition views to referenced addresses (first-wins, like the
-/// full pipeline's assembly).
-fn assemble(
-    domains: Vec<DomainObservation>,
-    table: &HashMap<Ipv4Addr, (IpObservation, IpAcquisition)>,
-) -> ObservationSet {
-    let mut ips = HashMap::new();
-    let mut acquisition = AcquisitionReport::default();
-    for d in &domains {
-        for t in d.mx.targets() {
-            for a in &t.addrs {
-                if let Some((o, acq)) = table.get(a) {
-                    ips.entry(*a).or_insert_with(|| o.clone());
-                    acquisition.ips.entry(*a).or_insert(*acq);
-                }
-            }
-        }
-    }
-    ObservationSet { domains, ips, acquisition }
 }
 
 /// Fully measure a state: materialise everything, resolve every
@@ -225,7 +127,7 @@ fn observe_state(state: &WorldState) -> (ObservationSet, HashMap<Ipv4Addr, (IpOb
     all_ips.sort_unstable();
     all_ips.dedup();
     let table = scan_ips(&world, &all_ips);
-    (assemble(domains, &table), table)
+    (ObservationSet::from_rows(domains, &table), table)
 }
 
 /// Recompute the whole delta series from scratch: for every prefix of

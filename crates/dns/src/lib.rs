@@ -15,7 +15,9 @@
 //!   NXDOMAIN/NODATA distinction, CNAME handling, wildcards and referrals;
 //! * [`StubResolver`] — a caching stub resolver (positive + negative cache,
 //!   TTL expiry against a [`SimClock`], CNAME chasing) and the
-//!   [`resolver::MxResolution`] convenience used by the measurement layer.
+//!   [`resolver::MxResolution`] convenience used by the measurement layer,
+//!   whose [`resolver::MxObservation`] row of [`resolver::MxTarget`]s is
+//!   the one MX shape the measurement and the inference share.
 //!   It is the crate's only resolver: like OpenINTEL, the study reads
 //!   every MX and A record through one recursive server, so nothing
 //!   chases referrals from root hints;

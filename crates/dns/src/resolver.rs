@@ -123,40 +123,54 @@ pub struct MxDegradation {
     pub retries: u32,
 }
 
+/// A domain's measured MX configuration — the §4.3 row the inference
+/// consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MxObservation {
+    /// No MX records published, the domain is gone, or the lookup
+    /// failed (the failure itself is recorded beside the row).
+    NoMx,
+    /// RFC 7505 null MX only.
+    NullMx,
+    /// MX records, sorted by (preference, exchange).
+    Targets(Vec<MxTarget>),
+}
+
+impl MxObservation {
+    /// The targets, if any.
+    pub fn targets(&self) -> &[MxTarget] {
+        match self {
+            MxObservation::Targets(t) => t,
+            _ => &[],
+        }
+    }
+
+    /// Targets sharing the lowest (most preferred) preference value — the
+    /// paper's "primary MX record(s)" used for provider attribution.
+    pub fn primary_targets(&self) -> &[MxTarget] {
+        let targets = self.targets();
+        let Some(best) = targets.first().map(|t| t.preference) else {
+            return &[];
+        };
+        let end = targets
+            .iter()
+            .position(|t| t.preference != best)
+            .unwrap_or(targets.len());
+        &targets[..end]
+    }
+}
+
 /// Result of resolving a domain's mail setup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MxResolution {
     /// The domain whose mail setup was resolved.
     pub domain: Name,
-    /// Sorted by (preference, exchange).
-    pub targets: Vec<MxTarget>,
-    /// RFC 7505 null MX (`0 .`) published — domain explicitly receives no
-    /// mail.
-    pub null_mx: bool,
+    /// The measured MX row. A null MX published beside real targets
+    /// reads as those targets.
+    pub mx: MxObservation,
     /// Lookups that needed retries or failed outright (the paper's
     /// "No MX IP" bucket records *why* an exchange has no addresses).
     pub degraded: Vec<MxDegradation>,
-}
-
-impl MxResolution {
-    /// Targets sharing the lowest (most preferred) preference value — the
-    /// paper's "primary MX record(s)" used for provider attribution.
-    pub fn primary_targets(&self) -> &[MxTarget] {
-        let Some(best) = self.targets.first().map(|t| t.preference) else {
-            return &[];
-        };
-        let end = self
-            .targets
-            .iter()
-            .position(|t| t.preference != best)
-            .unwrap_or(self.targets.len());
-        &self.targets[..end]
-    }
-
-    /// True when no usable MX target exists.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
 }
 
 /// A caching stub resolver.
@@ -462,10 +476,16 @@ impl<T: Transport> StubResolver<T> {
                 .cmp(&b.preference)
                 .then_with(|| a.exchange.cmp(&b.exchange))
         });
+        let mx = if !targets.is_empty() {
+            MxObservation::Targets(targets)
+        } else if null_mx {
+            MxObservation::NullMx
+        } else {
+            MxObservation::NoMx
+        };
         Ok(MxResolution {
             domain: domain.clone(),
-            targets,
-            null_mx,
+            mx,
             degraded,
         })
     }
@@ -570,15 +590,15 @@ mod tests {
     fn resolve_mx_full() {
         let auth = world();
         let r = resolver(&auth, SimClock::new());
-        let mx = r.resolve_mx(&dns_name!("example.com")).unwrap();
-        assert_eq!(mx.targets.len(), 2);
-        assert_eq!(mx.targets[0].exchange, dns_name!("mx1.provider.net"));
+        let mx = r.resolve_mx(&dns_name!("example.com")).unwrap().mx;
+        assert_eq!(mx.targets().len(), 2);
+        assert_eq!(mx.targets()[0].exchange, dns_name!("mx1.provider.net"));
         assert_eq!(
-            mx.targets[0].addrs,
+            mx.targets()[0].addrs,
             vec!["198.51.100.25".parse::<Ipv4Addr>().unwrap()]
         );
         assert_eq!(mx.primary_targets().len(), 1);
-        assert!(!mx.null_mx);
+        assert!(matches!(mx, MxObservation::Targets(_)));
     }
 
     #[test]
@@ -637,9 +657,9 @@ mod tests {
     fn null_mx_detected() {
         let auth = world();
         let r = resolver(&auth, SimClock::new());
-        let mx = r.resolve_mx(&dns_name!("nullmx.test")).unwrap();
-        assert!(mx.null_mx);
-        assert!(mx.is_empty());
+        let mx = r.resolve_mx(&dns_name!("nullmx.test")).unwrap().mx;
+        assert_eq!(mx, MxObservation::NullMx);
+        assert!(mx.targets().is_empty());
         assert!(mx.primary_targets().is_empty());
     }
 
@@ -673,8 +693,8 @@ mod tests {
         );
         auth.add_zone(z);
         let r = resolver(&auth, SimClock::new());
-        let mx = r.resolve_mx(&dns_name!("multi.test")).unwrap();
-        assert_eq!(mx.targets.len(), 4);
+        let mx = r.resolve_mx(&dns_name!("multi.test")).unwrap().mx;
+        assert_eq!(mx.targets().len(), 4);
         assert_eq!(mx.primary_targets().len(), 3);
     }
 
@@ -820,7 +840,7 @@ mod tests {
             SimClock::new(),
         );
         let mx = r.resolve_mx(&dns_name!("example.com")).unwrap();
-        assert_eq!(mx.targets.len(), 2);
+        assert_eq!(mx.mx.targets().len(), 2);
         // Every query (MX + two exchange A lookups) needed one retry.
         assert_eq!(mx.degraded.len(), 3, "{:?}", mx.degraded);
         assert!(mx.degraded.iter().all(|d| d.error.is_none() && d.retries == 1));
@@ -841,8 +861,8 @@ mod tests {
         auth.add_zone(z);
         let r = resolver(&auth, SimClock::new());
         let mx = r.resolve_mx(&dns_name!("dangling.test")).unwrap();
-        assert_eq!(mx.targets.len(), 1);
-        assert!(mx.targets[0].addrs.is_empty(), "dangling MX: no addresses");
+        assert_eq!(mx.mx.targets().len(), 1);
+        assert!(mx.mx.targets()[0].addrs.is_empty(), "dangling MX: no addresses");
         // The degradation record names the failing exchange and carries
         // the terminal error.
         assert_eq!(mx.degraded.len(), 1);

@@ -64,11 +64,8 @@ fn lex_cache() -> &'static LexCache {
 
 /// FNV-1a over the source text, for cache invalidation.
 fn src_hash(src: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in src.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = mx_obs::FNV1A_OFFSET;
+    mx_obs::fnv1a_step(&mut h, src.as_bytes());
     h
 }
 

@@ -16,10 +16,12 @@
 //!   unreachable hosts, and per-epoch intermittent scan failures;
 //! * [`Scanner`] — the Censys analogue: drives a real
 //!   [`mx_smtp::SmtpClient`] session against every target IP and records
-//!   [`mx_smtp::SmtpScanData`] (or the failure mode) into a [`ScanSnapshot`];
+//!   [`mx_smtp::SmtpScanData`] (or the failure mode) into a [`ScanSnapshot`],
+//!   whose [`ScanSnapshot::acquisition`] says what each address cost;
 //! * [`openintel`] — the OpenINTEL analogue: resolves MX + A records for a
 //!   target-domain list through a caching [`mx_dns::StubResolver`] over the
-//!   simulated network, producing [`openintel::DnsSnapshot`] rows.
+//!   simulated network, producing [`openintel::DnsSnapshot`] rows of
+//!   [`mx_dns::resolver::MxObservation`], the row shape the inference reads.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +35,6 @@ pub use fault::{
     ConnFault, ConnFaultPlan, ConnFaults, DnsFault, DnsFaults, FaultPlan, FlakinessProfile,
     ScanFault, SmtpFaults,
 };
-pub use openintel::{DnsDegradation, DnsSnapshot, MxMeasurement};
+pub use openintel::{DnsDegradation, DnsSnapshot};
 pub use scanner::{Missed, PortState, ScanObservation, ScanSnapshot, Scanner};
 pub use simnet::{ConnectError, SimNet, SimNetBuilder};

@@ -9,77 +9,10 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use mx_dns::resolver::{MxTarget, ResolveError};
+use mx_dns::resolver::{MxObservation, ResolveError};
 use mx_dns::{Name, Timestamp};
 
 use crate::simnet::SimNet;
-
-/// MX measurement outcome for one domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MxMeasurement {
-    /// MX records found (each with the A-resolution of its exchange;
-    /// an exchange that did not resolve has an empty address list).
-    Records {
-        /// The measured targets, sorted by (preference, exchange).
-        targets: Vec<SerializableMxTarget>,
-        /// An RFC 7505 null MX was published.
-        null_mx: bool,
-    },
-    /// The domain has no MX records (NODATA) or does not exist.
-    NoMx,
-    /// The measurement failed (resolver/transport error).
-    Error(String),
-}
-
-/// Serde-friendly mirror of [`MxTarget`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SerializableMxTarget {
-    /// MX preference (lowest wins).
-    pub preference: u16,
-    /// The exchange hostname.
-    pub exchange: Name,
-    /// IPv4 addresses the exchange resolved to.
-    pub addrs: Vec<Ipv4Addr>,
-}
-
-impl From<MxTarget> for SerializableMxTarget {
-    fn from(t: MxTarget) -> Self {
-        SerializableMxTarget {
-            preference: t.preference,
-            exchange: t.exchange,
-            addrs: t.addrs,
-        }
-    }
-}
-
-impl MxMeasurement {
-    /// The targets, when records were found.
-    pub fn targets(&self) -> &[SerializableMxTarget] {
-        match self {
-            MxMeasurement::Records { targets, .. } => targets,
-            _ => &[],
-        }
-    }
-
-    /// The most-preferred targets (the paper attributes a domain's provider
-    /// to the MX record(s) with the highest priority = lowest preference).
-    pub fn primary_targets(&self) -> &[SerializableMxTarget] {
-        let targets = self.targets();
-        let Some(best) = targets.first().map(|t| t.preference) else {
-            return &[];
-        };
-        let end = targets
-            .iter()
-            .position(|t| t.preference != best)
-            .unwrap_or(targets.len());
-        &targets[..end]
-    }
-
-    /// Did the domain publish at least one usable MX record?
-    pub fn has_mx(&self) -> bool {
-        !self.targets().is_empty()
-    }
-}
 
 /// How a domain's DNS measurement degraded: retry cost and, when the
 /// lookup ultimately failed, the terminal error.
@@ -98,8 +31,9 @@ pub struct DnsDegradation {
 pub struct DnsSnapshot {
     /// The simulated measurement date.
     pub date: Timestamp,
-    /// Per-domain results, in domain order.
-    pub rows: BTreeMap<Name, MxMeasurement>,
+    /// Per-domain MX rows, in domain order. A failed lookup reads as
+    /// [`MxObservation::NoMx`]; its error is kept in `degraded`.
+    pub rows: BTreeMap<Name, MxObservation>,
     /// Domains whose measurement needed retries or lost data to faults.
     pub degraded: BTreeMap<Name, DnsDegradation>,
 }
@@ -115,11 +49,6 @@ impl DnsSnapshot {
         ips.sort();
         ips.dedup();
         ips
-    }
-
-    /// Number of domains with at least one MX target.
-    pub fn domains_with_mx(&self) -> usize {
-        self.rows.values().filter(|m| m.has_mx()).count()
     }
 }
 
@@ -147,32 +76,22 @@ pub fn measure(net: &SimNet, domains: &[Name]) -> DnsSnapshot {
                         },
                     );
                 }
-                if mx.targets.is_empty() && !mx.null_mx {
-                    MxMeasurement::NoMx
-                } else {
-                    MxMeasurement::Records {
-                        targets: mx.targets.into_iter().map(Into::into).collect(),
-                        null_mx: mx.null_mx,
-                    }
-                }
+                mx.mx
             }
             Err(e) => {
                 let retries = resolver.last_lookup_retries();
-                let row = match &e {
-                    ResolveError::NxDomain(_) => MxMeasurement::NoMx,
-                    other => MxMeasurement::Error(other.to_string()),
-                };
-                if retries > 0 || !matches!(e, ResolveError::NxDomain(_)) {
+                let failed = !matches!(e, ResolveError::NxDomain(_));
+                if retries > 0 || failed {
                     degraded.insert(
                         domain.clone(),
                         DnsDegradation {
                             retries,
-                            exhausted: !matches!(e, ResolveError::NxDomain(_)),
+                            exhausted: failed,
                             error: Some(e),
                         },
                     );
                 }
-                row
+                MxObservation::NoMx
             }
         };
         rows.insert(domain.clone(), row);
@@ -240,6 +159,19 @@ mod tests {
             },
         );
         b.zone(d);
+        // A CNAME loop: the MX lookup fails with SERVFAIL, not NXDOMAIN.
+        let mut l = Zone::new(dns_name!("looped.com"));
+        l.add_rr(
+            dns_name!("looped.com"),
+            300,
+            RData::Cname(dns_name!("loop.looped.com")),
+        );
+        l.add_rr(
+            dns_name!("loop.looped.com"),
+            300,
+            RData::Cname(dns_name!("looped.com")),
+        );
+        b.zone(l);
         b.smtp_host(ip("192.0.2.1"), SmtpServerConfig::plain("mx1.example.com"));
         b.smtp_host(ip("192.0.2.2"), SmtpServerConfig::plain("mx2.example.com"));
         b.build()
@@ -256,26 +188,33 @@ mod tests {
                 dns_name!("nonexistent.com"),
                 dns_name!("nullmx.com"),
                 dns_name!("dangling.com"),
+                dns_name!("looped.com"),
             ],
         );
         assert_eq!(snap.date, Timestamp::from_ymd(2021, 6, 8));
         let ex = &snap.rows[&dns_name!("example.com")];
         assert_eq!(ex.targets().len(), 2);
         assert_eq!(ex.primary_targets().len(), 2, "equal preference");
-        assert!(ex.has_mx());
-        assert_eq!(snap.rows[&dns_name!("web-only.com")], MxMeasurement::NoMx);
-        assert_eq!(snap.rows[&dns_name!("nonexistent.com")], MxMeasurement::NoMx);
-        match &snap.rows[&dns_name!("nullmx.com")] {
-            MxMeasurement::Records { targets, null_mx } => {
-                assert!(targets.is_empty());
-                assert!(null_mx);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Dangling MX: target recorded, no addresses ("No MX IP" bucket).
+        assert!(!ex.targets().is_empty());
+        assert_eq!(snap.rows[&dns_name!("web-only.com")], MxObservation::NoMx);
+        // NXDOMAIN: no MX, and nothing degraded.
+        assert_eq!(snap.rows[&dns_name!("nonexistent.com")], MxObservation::NoMx);
+        assert!(!snap.degraded.contains_key(&dns_name!("nonexistent.com")));
+        assert_eq!(snap.rows[&dns_name!("nullmx.com")], MxObservation::NullMx);
+        // Dangling MX: target recorded, no addresses ("No MX IP" bucket),
+        // and the failed exchange lookup is kept.
         let d = &snap.rows[&dns_name!("dangling.com")];
         assert_eq!(d.targets().len(), 1);
         assert!(d.targets()[0].addrs.is_empty());
+        let deg = &snap.degraded[&dns_name!("dangling.com")];
+        assert!(deg.exhausted);
+        assert!(matches!(deg.error, Some(ResolveError::NxDomain(_))));
+        // A resolver error reads as no MX; the error itself is kept.
+        assert_eq!(snap.rows[&dns_name!("looped.com")], MxObservation::NoMx);
+        let deg = &snap.degraded[&dns_name!("looped.com")];
+        assert!(deg.exhausted);
+        assert!(matches!(deg.error, Some(ResolveError::ServerFailure(_))), "{deg:?}");
+        assert_eq!(snap.degraded.len(), 2, "{:?}", snap.degraded);
     }
 
     #[test]
@@ -317,7 +256,10 @@ mod tests {
         // Every degraded-but-recovered domain still has its records.
         for (name, d) in &snap.degraded {
             if !d.exhausted {
-                assert!(snap.rows[name].has_mx(), "{name} lost data despite recovery");
+                assert!(
+                    !snap.rows[name].targets().is_empty(),
+                    "{name} lost data despite recovery"
+                );
             }
         }
     }
@@ -327,6 +269,5 @@ mod tests {
         let net = net();
         let snap = measure(&net, &[dns_name!("example.com"), dns_name!("dangling.com")]);
         assert_eq!(snap.all_mx_ips(), vec![ip("192.0.2.1"), ip("192.0.2.2")]);
-        assert_eq!(snap.domains_with_mx(), 2);
     }
 }

@@ -11,16 +11,14 @@
 //! data-losing session faults are retried inside a bounded budget
 //! (`MAX_SCAN_ATTEMPTS`), with deterministic exponential backoff charged
 //! to the simulated clock, and every observation records how many
-//! attempts it cost and which fault (if any) degraded it. A multi-round
-//! [`Scanner::scan_window`] merges the best observation per IP across
-//! `±width` rounds, mirroring the paper's multi-day scan fill.
+//! attempts it cost and which fault (if any) degraded it.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use mx_smtp::{
-    ClientError, Extension, SmtpClient, SmtpScanData, StartTlsFailure, StartTlsOutcome,
-};
+use mx_acq::{AcqFault, IpAcquisition};
+pub use mx_smtp::PortState;
+use mx_smtp::{ClientError, Extension, SmtpClient, SmtpScanData, StartTlsFailure, StartTlsOutcome};
 
 use crate::fault::ScanFault;
 use crate::simnet::{ConnectError, SimNet};
@@ -34,43 +32,6 @@ pub const SCAN_BACKOFF_SECS: u64 = 2;
 
 /// Simulated cost of giving up on a tarpitted EHLO exchange.
 pub const TARPIT_COST_SECS: u64 = 300;
-
-/// Port-25 state observed for one IP.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PortState {
-    /// TCP connect failed (host down / refused).
-    Closed,
-    /// Connected, but the application-layer conversation failed before a
-    /// banner was captured.
-    NoBanner,
-    /// Full or partial application data captured.
-    Open(SmtpScanData),
-}
-
-impl PortState {
-    /// Application data, if any.
-    pub fn data(&self) -> Option<&SmtpScanData> {
-        match self {
-            PortState::Open(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Data-fullness rank used by [`Scanner::scan_window`] to pick the
-    /// best observation across rounds: cert > EHLO > banner > no banner
-    /// > closed.
-    pub fn fullness(&self) -> u8 {
-        match self {
-            PortState::Open(d) => match (&d.starttls, &d.ehlo) {
-                (StartTlsOutcome::Completed { .. }, _) => 4,
-                (_, Some(_)) => 3,
-                _ => 2,
-            },
-            PortState::NoBanner => 1,
-            PortState::Closed => 0,
-        }
-    }
-}
 
 /// One IP's observation plus its acquisition accounting: how many
 /// attempts it took, which injected fault (if any) is reflected in the
@@ -148,6 +109,38 @@ impl ScanSnapshot {
     /// Application data for an IP, if the port was open and spoke SMTP.
     pub fn data(&self, ip: Ipv4Addr) -> Option<&SmtpScanData> {
         self.get(ip).and_then(PortState::data)
+    }
+
+    /// The acquisition accounting behind `ip`'s row: the attempts and
+    /// fault of a covered address, or why an uncovered one is missing.
+    /// An address the scan never reached reads as blocked: no attempt
+    /// on it ever completed.
+    pub fn acquisition(&self, ip: Ipv4Addr) -> IpAcquisition {
+        if let Some(o) = self.results.get(&ip) {
+            return IpAcquisition {
+                attempts: o.attempts,
+                recovered: o.recovered,
+                exhausted: false,
+                blocked: false,
+                fault: o.fault,
+            };
+        }
+        match self.missed.get(&ip) {
+            Some(Missed::Exhausted { attempts }) => IpAcquisition {
+                attempts: *attempts,
+                recovered: false,
+                exhausted: true,
+                blocked: false,
+                fault: Some(AcqFault::Transient),
+            },
+            Some(Missed::Blocked) | None => IpAcquisition {
+                attempts: 0,
+                recovered: false,
+                exhausted: false,
+                blocked: true,
+                fault: None,
+            },
+        }
     }
 
     /// Count of IPs with open, speaking SMTP servers.
@@ -434,98 +427,6 @@ impl Scanner {
         snapshot
     }
 
-    /// Scan `ips` across rounds `epoch - width ..= epoch + width` and
-    /// merge the best observation per IP — the paper's multi-day fill:
-    /// a host missing from one daily scan usually appears in a nearby
-    /// one. Preference: fuller data first ([`PortState::fullness`]:
-    /// cert > EHLO > banner > closed), ties broken towards the round
-    /// closest to `epoch` (earlier on equal distance).
-    ///
-    /// The merged snapshot reports `epoch` as its round; `attempts`
-    /// accumulates across all rounds, and an IP counts as `recovered`
-    /// when any round missed it but another captured it.
-    pub fn scan_window(
-        &self,
-        net: &SimNet,
-        ips: &[Ipv4Addr],
-        epoch: u64,
-        width: u64,
-    ) -> ScanSnapshot {
-        if width == 0 {
-            return self.scan(net, ips, epoch);
-        }
-        let lo = epoch.saturating_sub(width);
-        let rounds: Vec<ScanSnapshot> = (lo..=epoch + width)
-            .map(|e| self.scan(net, ips, e))
-            .collect();
-        let mut merged = ScanSnapshot {
-            epoch,
-            results: BTreeMap::new(),
-            missed: BTreeMap::new(),
-        };
-        let mut seen: std::collections::HashSet<Ipv4Addr> = std::collections::HashSet::new();
-        for &ip in ips {
-            if !seen.insert(ip) {
-                continue;
-            }
-            let mut best: Option<(&ScanObservation, u64)> = None;
-            let mut total_attempts = 0u32;
-            let mut missed_rounds = 0usize;
-            let mut missed_as: Option<Missed> = None;
-            let mut healed_fault: Option<ScanFault> = None;
-            for snap in &rounds {
-                if let Some(obs) = snap.results.get(&ip) {
-                    total_attempts += obs.attempts;
-                    let better = match best {
-                        None => true,
-                        Some((b, br)) => {
-                            let (fb, fo) = (b.state.fullness(), obs.state.fullness());
-                            fo > fb
-                                || (fo == fb
-                                    && snap.epoch.abs_diff(epoch) < br.abs_diff(epoch))
-                        }
-                    };
-                    if better {
-                        best = Some((obs, snap.epoch));
-                    }
-                } else if let Some(miss) = snap.missed.get(&ip) {
-                    missed_rounds += 1;
-                    if let Missed::Exhausted { attempts } = miss {
-                        total_attempts += attempts;
-                        healed_fault = Some(ScanFault::Transient);
-                    }
-                    missed_as = Some(*miss);
-                }
-            }
-            match best {
-                Some((obs, _)) => {
-                    let mut merged_obs = obs.clone();
-                    merged_obs.attempts = total_attempts;
-                    if missed_rounds > 0 {
-                        merged_obs.recovered = true;
-                        if merged_obs.fault.is_none() {
-                            merged_obs.fault = healed_fault;
-                        }
-                    }
-                    merged.results.insert(ip, merged_obs);
-                }
-                None => {
-                    // Missed in every round. Blocked dominates (it is
-                    // persistent); otherwise report the accumulated
-                    // attempt cost.
-                    let miss = match missed_as {
-                        Some(Missed::Blocked) | None => Missed::Blocked,
-                        Some(Missed::Exhausted { .. }) => Missed::Exhausted {
-                            attempts: total_attempts,
-                        },
-                    };
-                    merged.missed.insert(ip, miss);
-                }
-            }
-        }
-        merged
-    }
-
     /// Scan every SMTP-capable host attached to the network (plus any
     /// explicitly provided silent hosts are naturally covered through
     /// `host_ips`). This is the "Internet-wide" sweep.
@@ -543,8 +444,7 @@ fn strip_code(reply: &mx_smtp::Reply) -> String {
 
 /// Record one `scan_ip` outcome into the observability layer. Attempt
 /// totals mirror the acquisition accounting exactly (the obs_gate test
-/// reconciles the two); the per-outcome counters are per scan *pass*,
-/// so under a `scan_window` they count rounds, not merged IPs.
+/// reconciles the two).
 fn record_scan_outcome(outcome: &Result<ScanObservation, Missed>) {
     let attempts = mx_obs::counter!(mx_obs::names::NET_SCAN_ATTEMPTS);
     let per_ip = mx_obs::histogram!(
@@ -666,6 +566,58 @@ mod tests {
         assert!(snap.covered(ip("10.0.0.1")));
         assert!(!snap.covered(ip("10.0.0.2")), "opt-out honoured");
         assert_eq!(snap.missed.get(&ip("10.0.0.2")), Some(&Missed::Blocked));
+    }
+
+    #[test]
+    fn acquisition_classifies_every_outcome() {
+        let mut snap = ScanSnapshot::default();
+        snap.results
+            .insert(ip("10.0.0.1"), ScanObservation::clean(PortState::Closed));
+        let recovered = ScanObservation {
+            state: PortState::NoBanner,
+            attempts: 2,
+            fault: Some(ScanFault::Transient),
+            recovered: true,
+        };
+        snap.results.insert(ip("10.0.0.2"), recovered);
+        snap.missed.insert(ip("10.0.0.3"), Missed::Blocked);
+        snap.missed.insert(
+            ip("10.0.0.4"),
+            Missed::Exhausted {
+                attempts: MAX_SCAN_ATTEMPTS,
+            },
+        );
+        assert_eq!(snap.acquisition(ip("10.0.0.1")), IpAcquisition::clean());
+        assert_eq!(
+            snap.acquisition(ip("10.0.0.2")),
+            IpAcquisition {
+                attempts: 2,
+                recovered: true,
+                exhausted: false,
+                blocked: false,
+                fault: Some(AcqFault::Transient),
+            }
+        );
+        let blocked = IpAcquisition {
+            attempts: 0,
+            recovered: false,
+            exhausted: false,
+            blocked: true,
+            fault: None,
+        };
+        assert_eq!(snap.acquisition(ip("10.0.0.3")), blocked);
+        assert_eq!(
+            snap.acquisition(ip("10.0.0.4")),
+            IpAcquisition {
+                attempts: MAX_SCAN_ATTEMPTS,
+                recovered: false,
+                exhausted: true,
+                blocked: false,
+                fault: Some(AcqFault::Transient),
+            }
+        );
+        // Never reached by the scan: reads as blocked.
+        assert_eq!(snap.acquisition(ip("10.0.0.5")), blocked);
     }
 
     #[test]
@@ -813,93 +765,6 @@ mod tests {
             .banner_host()
             .map(|h| !mx_smtp::valid_fqdn(h))
             .unwrap_or(true));
-    }
-
-    #[test]
-    fn scan_window_recovers_transient_misses() {
-        let mut b = SimNet::builder(SimClock::new());
-        let n = 500u32;
-        let mut ips = Vec::new();
-        for i in 0..n {
-            let addr = Ipv4Addr::from(0x0a04_0000 + i);
-            b.smtp_host(addr, SmtpServerConfig::plain(format!("h{i}.win.example")));
-            ips.push(addr);
-        }
-        let mut faults = FaultPlan::none();
-        faults.scan_failure_rate = 0.3;
-        faults.seed = 33;
-        b.faults(faults);
-        let net = b.build();
-        let scanner = Scanner::new();
-        let single = scanner.scan(&net, &ips, 5);
-        let missed_single: Vec<Ipv4Addr> = single.missed.keys().copied().collect();
-        assert!(!missed_single.is_empty(), "need transient misses to recover");
-        let window = scanner.scan_window(&net, &ips, 5, 2);
-        let recovered = missed_single
-            .iter()
-            .filter(|ip| window.covered(**ip))
-            .count();
-        // Acceptance criterion: >= 90% of transiently-failed IPs
-        // recovered at rate 0.3 with width 2.
-        assert!(
-            recovered as f64 >= 0.9 * missed_single.len() as f64,
-            "recovered {recovered}/{}",
-            missed_single.len()
-        );
-        // Recovered IPs are flagged as such with accumulated attempts.
-        for ip in &missed_single {
-            if let Some(obs) = window.observation(*ip) {
-                assert!(obs.recovered);
-                assert!(obs.attempts > MAX_SCAN_ATTEMPTS);
-            }
-        }
-        assert_eq!(window.epoch, 5);
-    }
-
-    #[test]
-    fn scan_window_prefers_fuller_observations() {
-        // A host whose TLS handshake is injected to fail in most rounds:
-        // the window keeps the round with the full chain.
-        let mut b = SimNet::builder(SimClock::new());
-        let chain = vec![CertificateBuilder::new(1, KeyId(5))
-            .common_name("mx.window.example")
-            .self_signed()];
-        b.smtp_host(
-            ip("10.0.0.9"),
-            SmtpServerConfig::with_tls("mx.window.example", chain),
-        );
-        let mut faults = FaultPlan::none();
-        faults.smtp.tls_handshake_rate = 0.7;
-        faults.seed = 2;
-        b.faults(faults);
-        let net = b.build();
-        let scanner = Scanner::new();
-        let ips = [ip("10.0.0.9")];
-        // Find a round where the handshake fails and one where it works.
-        let per_round: Vec<bool> = (0..5)
-            .map(|e| {
-                scanner
-                    .scan(&net, &ips, e)
-                    .data(ip("10.0.0.9"))
-                    .map(|d| d.starttls.chain().is_some())
-                    .unwrap_or(false)
-            })
-            .collect();
-        assert!(per_round.contains(&true), "no clean round in {per_round:?}");
-        assert!(per_round.contains(&false), "no faulty round in {per_round:?}");
-        let window = scanner.scan_window(&net, &ips, 2, 2);
-        let d = window.data(ip("10.0.0.9")).unwrap();
-        assert!(d.starttls.chain().is_some(), "window kept the cert round");
-    }
-
-    #[test]
-    fn scan_window_width_zero_is_single_round() {
-        let net = net_with_hosts();
-        let scanner = Scanner::new();
-        let a = scanner.scan(&net, &net.host_ips().collect::<Vec<_>>(), 3);
-        let b = scanner.scan_window(&net, &net.host_ips().collect::<Vec<_>>(), 3, 0);
-        assert_eq!(a.results.len(), b.results.len());
-        assert_eq!(a.epoch, b.epoch);
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
         let net = small_net();
         let r = net.resolver();
         let mx = r.resolve_mx(&dns_name!("example.com")).unwrap();
-        assert_eq!(mx.targets[0].addrs, vec![ip("192.0.2.25")]);
+        assert_eq!(mx.mx.targets()[0].addrs, vec![ip("192.0.2.25")]);
     }
 
     #[test]
@@ -403,8 +403,8 @@ mod tests {
         let net = b.build();
         let r = net.resolver();
         let mx = r.resolve_mx(&dns_name!("example.com")).unwrap();
-        assert_eq!(mx.targets.len(), 40);
-        let resolved = mx.targets.iter().filter(|t| !t.addrs.is_empty()).count();
+        assert_eq!(mx.mx.targets().len(), 40);
+        let resolved = mx.mx.targets().iter().filter(|t| !t.addrs.is_empty()).count();
         assert!(resolved > 35, "resolved {resolved}/40");
         let s = r.stats();
         assert!(s.retries > 0, "fault rates must trigger retries");

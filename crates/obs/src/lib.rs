@@ -123,6 +123,22 @@ pub fn set_trace_enabled(on: bool) {
     TRACE_ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// The FNV-1a offset basis: the state a fresh hash starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: fold `bytes` into the running hash `h`. Trace
+/// tags, serve's ETags and the lint's lex-cache keys all hash through
+/// it, so each value is the same FNV-1a `mx_cert::fnv1a` computes.
+/// Inlined across crates like the private copies it replaced: serve
+/// folds each digest field through it.
+#[inline]
+pub fn fnv1a_step(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {

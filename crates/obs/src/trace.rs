@@ -232,11 +232,8 @@ pub fn reset_all() {
 /// bytes, masked so the value round-trips exactly through an `f64`
 /// JSON number.
 pub fn tag64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = crate::FNV1A_OFFSET;
+    crate::fnv1a_step(&mut h, bytes);
     h & 0x0000_ffff_ffff_ffff
 }
 

@@ -17,6 +17,7 @@ use mx_analysis::churn::ChurnCategory;
 use mx_analysis::store::{
     churn_from_store, credit_shares_at, domains_of_provider, market_share_at,
 };
+use mx_obs::fnv1a_step;
 use mx_obs::json::push_json_str;
 use mx_store::{StoreError, StoreReader};
 
@@ -524,16 +525,6 @@ fn debug_attribution() -> Response {
     Response::ok(mx_obs::attrib::Attribution::capture().deterministic_json())
 }
 
-/// FNV-1a step over a byte run, the same construction the rest of the
-/// codebase uses for content addressing.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(PRIME);
-    }
-}
-
 /// A strong validator fingerprint for an open store, derived from the
 /// digest sections: epoch count, labels, kinds and entry counts, plus
 /// every digest record `(doc, flags, credit)` when the store carries
@@ -542,21 +533,21 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 /// rows), so their etags differ; appending an epoch always changes the
 /// fingerprint.
 pub fn store_etag(reader: &StoreReader<'_>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = mx_obs::FNV1A_OFFSET;
     let epochs = reader.epoch_count();
-    fnv(&mut h, &(epochs as u64).to_be_bytes());
+    fnv1a_step(&mut h, &(epochs as u64).to_be_bytes());
     for epoch in 0..epochs {
-        fnv(&mut h, reader.label(epoch).unwrap_or("").as_bytes());
-        fnv(&mut h, &[0, matches!(reader.epoch_kind(epoch), Some(mx_store::EpochKind::Base)) as u8]);
-        fnv(&mut h, &reader.entry_count(epoch).unwrap_or(0).to_be_bytes());
+        fnv1a_step(&mut h, reader.label(epoch).unwrap_or("").as_bytes());
+        fnv1a_step(&mut h, &[0, matches!(reader.epoch_kind(epoch), Some(mx_store::EpochKind::Base)) as u8]);
+        fnv1a_step(&mut h, &reader.entry_count(epoch).unwrap_or(0).to_be_bytes());
         match reader.digest_rows(epoch) {
-            Err(_) => fnv(&mut h, b"\0noindex"),
+            Err(_) => fnv1a_step(&mut h, b"\0noindex"),
             Ok(rows) => {
                 for row in rows {
-                    fnv(&mut h, &(row.doc as u64).to_be_bytes());
-                    fnv(&mut h, &[row.has_smtp as u8, row.self_hosted as u8]);
-                    fnv(&mut h, row.credit.unwrap_or("").as_bytes());
-                    fnv(&mut h, &[0]);
+                    fnv1a_step(&mut h, &(row.doc as u64).to_be_bytes());
+                    fnv1a_step(&mut h, &[row.has_smtp as u8, row.self_hosted as u8]);
+                    fnv1a_step(&mut h, row.credit.unwrap_or("").as_bytes());
+                    fnv1a_step(&mut h, &[0]);
                 }
             }
         }

@@ -39,6 +39,6 @@ pub use client::{ClientError, SmtpClient};
 pub use command::{Command, MailPath};
 pub use extensions::Extension;
 pub use reply::{Reply, ReplyCode, ReplyParseError};
-pub use scan::{valid_fqdn, SmtpScanData, StartTlsFailure, StartTlsOutcome};
+pub use scan::{valid_fqdn, PortState, SmtpScanData, StartTlsFailure, StartTlsOutcome};
 pub use server::{ServerQuirks, SmtpServer, SmtpServerConfig};
 pub use transport::{Connection, LineError, MAX_LINE_LEN};

@@ -75,6 +75,29 @@ impl SmtpScanData {
     }
 }
 
+/// Port-25 state observed for one IP: the scan result the §4.3 join
+/// turns into an observation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PortState {
+    /// TCP connect failed (host down / refused).
+    Closed,
+    /// Connected, but the application-layer conversation failed before a
+    /// banner was captured.
+    NoBanner,
+    /// Full or partial application data captured.
+    Open(SmtpScanData),
+}
+
+impl PortState {
+    /// Application data, if any.
+    pub fn data(&self) -> Option<&SmtpScanData> {
+        match self {
+            PortState::Open(d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
 fn first_token(s: &str) -> Option<&str> {
     s.split_ascii_whitespace().next()
 }

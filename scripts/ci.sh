@@ -99,4 +99,7 @@ cargo test --release -p mx-infer --test engine -q
 echo "==> delta codec robustness (tests/malformed_input.rs: event-log decoding rejects corruption without panicking)"
 cargo test --release --test malformed_input -q
 
+echo "==> line count (scripts/loc.sh: Rust lines of non-test and test code; informational, fails nothing)"
+scripts/loc.sh || true
+
 echo "CI OK"

@@ -7,10 +7,10 @@ use std::net::Ipv4Addr;
 use mxmap::cert::{CertificateAuthority, KeyId, TrustStore};
 use mxmap::dns::{dns_name, Name, RData, SimClock, Timestamp, Zone};
 use mxmap::infer::{
-    IdSource, IpObservation, MxObservation, MxTargetObs, ObservationSet, Pattern, Pipeline,
-    ProviderId, ProviderKnowledge, ProviderProfile, ScanStatus, Strategy,
+    DomainObservation, IdSource, IpObservation, MxObservation, MxTarget, ObservationSet, Pattern,
+    Pipeline, ProviderId, ProviderKnowledge, ProviderProfile, Strategy,
 };
-use mxmap::net::{PortState, Scanner, SimNet};
+use mxmap::net::{Scanner, SimNet};
 use mxmap::smtp::SmtpServerConfig;
 
 struct TestWorld {
@@ -95,46 +95,20 @@ fn measure(world: &TestWorld, domains: &[Name]) -> ObservationSet {
     let ips = dns.all_mx_ips();
     let scan = Scanner::new().scan(&world.net, &ips, 0);
     let now = world.net.clock().now();
-    let mut obs = ObservationSet::new();
-    for (name, m) in &dns.rows {
-        obs.domains.push(mxmap::infer::DomainObservation {
-            domain: name.clone(),
-            mx: MxObservation::Targets(
-                m.targets()
-                    .iter()
-                    .map(|t| MxTargetObs {
-                        preference: t.preference,
-                        exchange: t.exchange.clone(),
-                        addrs: t.addrs.clone(),
-                    })
-                    .collect(),
-            ),
-        });
-    }
-    for a in ips {
-        let asn = world.net.asn_of(a);
-        let o = match scan.get(a) {
-            Some(PortState::Open(d)) => IpObservation {
-                ip: a,
-                asn,
-                leaf_cert: d.leaf_certificate().cloned(),
-                cert_valid: d.starttls.chain().is_some_and(|c| {
-                    mxmap::cert::chain_trusted(c, &world.trust, now).is_ok()
-                }),
-                scan: ScanStatus::Smtp(d.clone()),
-            },
-            Some(_) => IpObservation {
-                ip: a,
-                asn,
-                leaf_cert: None,
-                cert_valid: false,
-                scan: ScanStatus::NoSmtp,
-            },
-            None => IpObservation::uncovered(a, asn),
-        };
-        obs.ips.insert(a, o);
-    }
-    obs
+    let table = ips
+        .iter()
+        .map(|&a| {
+            let asn = world.net.asn_of(a);
+            let o = IpObservation::from_scan(a, asn, scan.get(a), &world.trust, now);
+            (a, (o, scan.acquisition(a)))
+        })
+        .collect();
+    let rows = dns
+        .rows
+        .into_iter()
+        .map(|(domain, mx)| DomainObservation { domain, mx })
+        .collect();
+    ObservationSet::from_rows(rows, &table)
 }
 
 fn knowledge() -> ProviderKnowledge {
@@ -196,9 +170,9 @@ fn real_customer_stays_with_provider() {
     let domains = [dns_name!("customer.com")];
     let mut obs = measure(&world, &domains);
     for i in 0..20 {
-        obs.domains.push(mxmap::infer::DomainObservation {
+        obs.domains.push(DomainObservation {
             domain: dns_name!(&format!("bulk{i}.example")),
-            mx: MxObservation::Targets(vec![MxTargetObs {
+            mx: MxObservation::Targets(vec![MxTarget {
                 preference: 10,
                 exchange: dns_name!("mx.hostco.net"),
                 addrs: vec![ip("10.1.0.1")],

@@ -2,9 +2,10 @@
 //! the simulated network, measured, and fed through the inference — the
 //! full adoption path for a user bringing their own DNS data.
 
+use mxmap::cert::TrustStore;
 use mxmap::dns::{master, RecordType, SimClock, Timestamp};
 use mxmap::infer::{
-    DomainObservation, MxObservation, MxTargetObs, ObservationSet, Pipeline, SpfRecord, Strategy,
+    DomainObservation, IpObservation, ObservationSet, Pipeline, SpfRecord, Strategy,
 };
 use mxmap::net::SimNet;
 use mxmap::smtp::SmtpServerConfig;
@@ -54,33 +55,22 @@ fn master_file_zone_through_full_pipeline() {
 
     let ips = dns.all_mx_ips();
     let scan = mxmap::net::Scanner::new().scan(&net, &ips, 0);
-    let mut obs = ObservationSet::new();
-    obs.domains.push(DomainObservation {
-        domain: domain.clone(),
-        mx: MxObservation::Targets(
-            row.targets()
-                .iter()
-                .map(|t| MxTargetObs {
-                    preference: t.preference,
-                    exchange: t.exchange.clone(),
-                    addrs: t.addrs.clone(),
-                })
-                .collect(),
-        ),
-    });
-    for ip in ips {
-        let data = scan.data(ip).expect("scanned").clone();
-        obs.ips.insert(
-            ip,
-            mxmap::infer::IpObservation {
-                ip,
-                asn: net.asn_of(ip),
-                scan: mxmap::infer::ScanStatus::Smtp(data),
-                leaf_cert: None,
-                cert_valid: false,
-            },
-        );
-    }
+    assert!(ips.iter().all(|&ip| scan.data(ip).is_some()), "scanned");
+    let now = net.clock().now();
+    let table = ips
+        .iter()
+        .map(|&ip| {
+            let o =
+                IpObservation::from_scan(ip, net.asn_of(ip), scan.get(ip), &TrustStore::new(), now);
+            (ip, (o, scan.acquisition(ip)))
+        })
+        .collect();
+    let rows = dns
+        .rows
+        .into_iter()
+        .map(|(domain, mx)| DomainObservation { domain, mx })
+        .collect();
+    let obs = ObservationSet::from_rows(rows, &table);
 
     // Inference attributes the domain to the filtering provider.
     let result = Pipeline::new(Strategy::PriorityBased).run(&obs);
